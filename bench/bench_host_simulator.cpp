@@ -127,10 +127,11 @@ BENCHMARK(BM_DualQueueRoundTrip);
 //
 // The hand-timed pass below measures the three primitive rates with
 // std::chrono (google-benchmark's own numbers stay on stdout) and appends
-// one row per fast-path setting.  "Simulated events" counts dispatched
-// engine events *plus* switch-free fast-path charges: a warped charge does
-// the work an event used to, so the denominator stays comparable across
-// engine generations.
+// one substrate row (event dispatch and fiber switch rates, which do not
+// depend on the fast path) plus one timed-reference row per fast-path
+// setting.  "Simulated events" counts dispatched engine events *plus*
+// switch-free fast-path charges: a warped charge does the work an event
+// used to, so the denominator stays comparable across engine generations.
 
 double host_seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -140,8 +141,6 @@ double host_seconds_since(std::chrono::steady_clock::time_point t0) {
 struct HostRow {
   std::string label;
   bool fastpath = false;
-  double events_per_sec = 0;
-  double fiber_switches_per_sec = 0;
   double timed_refs_per_sec = 0;
   double host_ns_per_event = 0;
 };
@@ -301,12 +300,19 @@ void emit_value(const scope::JsonValue& v, sim::json::Writer& w) {
   }
 }
 
+void emit_substrate_row(double events_per_sec, double switches_per_sec,
+                        sim::json::Writer& w) {
+  w.begin_object()
+      .kv("label", "substrate")
+      .kv("events_per_sec", events_per_sec)
+      .kv("fiber_switches_per_sec", switches_per_sec)
+      .end_object();
+}
+
 void emit_row(const HostRow& r, double speedup, sim::json::Writer& w) {
   w.begin_object()
       .kv("label", r.label)
       .kv("fastpath", r.fastpath)
-      .kv("events_per_sec", r.events_per_sec)
-      .kv("fiber_switches_per_sec", r.fiber_switches_per_sec)
       .kv("timed_refs_per_sec", r.timed_refs_per_sec)
       .kv("host_ns_per_event", r.host_ns_per_event);
   if (speedup > 0) w.kv("speedup_vs_slowpath", speedup);
@@ -321,8 +327,6 @@ void append_json_rows() {
   const double switches_per_sec = measure_fiber_switches();
   HostRow on = measure_timed_refs(true);
   HostRow off = measure_timed_refs(false);
-  on.events_per_sec = off.events_per_sec = events_per_sec;
-  on.fiber_switches_per_sec = off.fiber_switches_per_sec = switches_per_sec;
   const double speedup = on.timed_refs_per_sec / off.timed_refs_per_sec;
 
   // Carry forward any rows already in the file (the cross-PR trajectory).
@@ -354,6 +358,7 @@ void append_json_rows() {
     if (runs != nullptr && runs->kind == scope::JsonValue::Kind::kArray)
       for (const auto& r : runs->arr) emit_value(r, w);
   }
+  emit_substrate_row(events_per_sec, switches_per_sec, w);
   emit_row(off, 0, w);
   emit_row(on, speedup, w);
   std::vector<ParRow> par;

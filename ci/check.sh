@@ -18,6 +18,10 @@
 #                        256/1K nodes (label sync-smoke)
 #   3c. parsim smoke   — the parallel host engine's A/B determinism suite
 #                        and host-thread primitive tests (label parsim-smoke)
+#   3d. sim-output gate— perfbench's self-test, then each perfbench workload
+#                        at seed 1; fails unless run.py reports that the
+#                        run's sim_digest matches perfbench/baseline.json,
+#                        so a host-side change cannot alter simulated output
 #   4. scope smoke     — a traced Gauss run exports a Chrome trace, then
 #                        the standalone validator re-checks the file on
 #                        disk (parses, monotone timestamps, balanced B/E)
@@ -26,8 +30,9 @@
 #                        NON-GATING: CI machines have wildly variable
 #                        throughput, so a slow run only warns
 #   5b. parsim tsan    — test_parsim_core (the fiber-free mailbox/barrier/
-#                        driver suite) rebuilt under ThreadSanitizer.
-#                        NON-GATING while the stage beds in
+#                        driver suite) and test_parsim (the Machine-level
+#                        A/B determinism suite) rebuilt under
+#                        ThreadSanitizer.  NON-GATING while the stage beds in
 #   6. asan preset     — ASan+UBSan build, full ctest suite
 #   7. lint            — clang-tidy over src/ against the compile database
 #                        (skips with a notice when clang-tidy isn't installed;
@@ -67,6 +72,20 @@ ctest --preset default -L sync-smoke --output-on-failure
 step "parsim smoke (parallel host engine: A/B determinism + primitives)"
 ctest --preset default -L parsim-smoke --output-on-failure
 
+step "sim-output gate (perfbench self-test + seed-1 digests vs baseline)"
+python3 perfbench/run.py --self-test
+for workload in gauss_fig5 serve_open_loop serve_faults sync_1k; do
+  log="build/perfbench_${workload}.stderr"
+  if ! python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 1 --trace 0 >/dev/null 2>"$log" ||
+      ! grep -q "matches the baseline" "$log"; then
+    cat "$log"
+    echo "sim-output gate: $workload sim_digest does not match the baseline"
+    exit 1
+  fi
+  grep "sim_digest" "$log"
+done
+
 step "scope smoke (traced Gauss -> Chrome trace -> validator)"
 ./build/tools/trace_gauss build/scope_ci_trace.json build/scope_ci_metrics.json
 ./build/tools/trace_validate build/scope_ci_trace.json
@@ -81,13 +100,13 @@ else
   echo "perf smoke failed (non-gating; host throughput varies in CI)"
 fi
 
-step "parsim tsan smoke (mailbox/barrier/driver under TSan, non-gating)"
-# Only the fiber-free test_parsim_core binary runs under TSan: ThreadSanitizer
-# does not understand ucontext fiber switches, so the Machine-level suites
-# stay on the ASan preset below.  Non-gating while the stage beds in — a TSan
-# finding prints loudly but does not fail the job.
+step "parsim tsan smoke (parsim core + Machine-level A/B suite under TSan, non-gating)"
+# The fiber switch announces every fiber to TSan, so the Machine-level
+# test_parsim suite runs here beside the fiber-free core suite.  Non-gating
+# while the stage beds in — a TSan finding prints loudly but does not fail
+# the job.
 if cmake --preset tsan && cmake --build --preset tsan -j "$JOBS" &&
-    ./build-tsan/tests/test_parsim_core; then
+    ./build-tsan/tests/test_parsim_core && ./build-tsan/tests/test_parsim; then
   :
 else
   echo "parsim tsan smoke failed (non-gating; see output above)"

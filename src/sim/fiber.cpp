@@ -4,12 +4,16 @@
 #include <cstdlib>
 #include <exception>
 
+#if !defined(__x86_64__)
+#error "src/sim/fiber.cpp: the fiber stack switch is written for x86-64 SysV only"
+#endif
+
 // AddressSanitizer must be told about every stack switch, or its shadow
 // memory (and the unwinder's notion of the current stack) stays pointed at
 // the previous context — throws and deep frames on fiber stacks then report
 // bogus stack-buffer-overflows.  The annotations below follow the protocol
 // from <sanitizer/common_interface_defs.h>: announce the destination stack
-// before swapcontext, restore the arriving context's fake stack right after.
+// before the switch, restore the arriving context's fake stack right after.
 #if defined(__SANITIZE_ADDRESS__)
 #define BFLY_ASAN_FIBERS 1
 #elif defined(__has_feature)
@@ -21,22 +25,123 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+// ThreadSanitizer likewise keeps one shadow thread state per fiber; it must
+// hear of each fiber's creation and destruction and of every switch, made
+// right before the switch (<sanitizer/tsan_interface.h>).  Switches use the
+// default (synchronising) flag: fibers on one host thread hand off
+// cooperatively, so each switch is a happens-before edge.
+#if defined(__SANITIZE_THREAD__)
+#define BFLY_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define BFLY_TSAN_FIBERS 1
+#endif
+#endif
+#if defined(BFLY_TSAN_FIBERS)
+#include <sanitizer/tsan_interface.h>
+#endif
+
+// The stack switch.  bfly_fiber_switch(save, load) pushes the SysV
+// callee-saved state of the departing context — rbx, rbp, r12-r15, the
+// MXCSR and the x87 control word — stores rsp in *save, loads rsp from
+// `load` and pops the arriving context's state in reverse.  Everything else
+// is caller-saved, so a plain call is a complete switch.  The signal mask is
+// deliberately not part of a context (saving it would cost a syscall per
+// switch): the simulator installs no signal handler and never changes the
+// mask, so every context shares one.
+//
+// A new fiber's stack holds a frame (FirstFrame below) whose return address
+// is bfly_fiber_entry.  The entry stub calls the function pointer in r12
+// with the Fiber* from rbx, on a 16-byte-aligned stack; .cfi_undefined rip
+// marks it as the outermost frame, so unwinders and gdb stop there.
+extern "C" {
+void bfly_fiber_switch(void** save_sp, void* load_sp);
+void bfly_fiber_entry();
+}
+
+asm(R"(
+  .text
+  .globl bfly_fiber_switch
+  .hidden bfly_fiber_switch
+  .type bfly_fiber_switch, @function
+  .p2align 4
+bfly_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .cfi_endproc
+  .size bfly_fiber_switch, .-bfly_fiber_switch
+
+  .globl bfly_fiber_entry
+  .hidden bfly_fiber_entry
+  .type bfly_fiber_entry, @function
+  .p2align 4
+bfly_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %rbx, %rdi
+  callq *%r12
+  ud2
+  .cfi_endproc
+  .size bfly_fiber_entry, .-bfly_fiber_entry
+)");
+
 namespace bfly::sim {
 
 namespace {
+// The register frame bfly_fiber_switch pops, lowest address first, plus
+// the return address its `ret` consumes.
+struct FirstFrame {
+  std::uint16_t x87_cw;
+  std::uint16_t pad0[3];
+  std::uint32_t mxcsr;
+  std::uint32_t pad1;
+  void* r15;
+  void* r14;
+  void* r13;
+  void* r12;  // entry function: Fiber::trampoline
+  void* rbx;  // its argument: the Fiber*
+  void* rbp;
+  void* ret;  // bfly_fiber_entry
+};
+static_assert(sizeof(FirstFrame) == 72);
+
 // One engine context per host thread: the parallel engine (src/parsim) runs
 // one shard's event loop per worker thread, and every fiber is resumed only
 // from its owning shard's thread, so thread_local keeps each worker's
 // engine/fiber switch state private.  The serial engine uses exactly one
 // thread and pays only the (negligible) TLS addressing cost.
 thread_local Fiber* g_current = nullptr;
-thread_local ucontext_t g_engine_ctx;
+thread_local void* g_engine_sp = nullptr;
 #if defined(BFLY_ASAN_FIBERS)
 // The engine runs on the host thread's own stack; its bounds are learned
 // from the first finish_switch_fiber on arrival in a fiber.
 thread_local void* g_engine_fake_stack = nullptr;
 thread_local const void* g_engine_stack_bottom = nullptr;
 thread_local std::size_t g_engine_stack_size = 0;
+#endif
+#if defined(BFLY_TSAN_FIBERS)
+// TSan's handle for the host thread the engine runs on.
+thread_local void* g_engine_tsan_fiber = nullptr;
 #endif
 
 // Called first thing on arrival in a fiber; the departed context is always
@@ -47,6 +152,13 @@ inline void asan_enter_fiber([[maybe_unused]] void* fake_stack) {
                                   &g_engine_stack_size);
 #endif
 }
+
+// Called last thing before switching from a fiber to the engine.
+inline void tsan_leave_fiber() {
+#if defined(BFLY_TSAN_FIBERS)
+  __tsan_switch_to_fiber(g_engine_tsan_fiber, 0);
+#endif
+}
 }  // namespace
 
 Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes,
@@ -55,25 +167,36 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes,
       stack_(new char[stack_bytes]),
       stack_bytes_(stack_bytes),
       name_(std::move(name)) {
-  getcontext(&ctx_);
-  ctx_.uc_stack.ss_sp = stack_.get();
-  ctx_.uc_stack.ss_size = stack_bytes;
-  ctx_.uc_link = nullptr;  // fibers exit through run_body(), never fall off
-  const auto ptr = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-              static_cast<unsigned>(ptr >> 32),
-              static_cast<unsigned>(ptr & 0xffffffffu));
+  // The frame ends 16-byte aligned, so bfly_fiber_entry's call into
+  // trampoline sees the ABI's stack alignment.
+  const auto top =
+      (reinterpret_cast<std::uintptr_t>(stack_.get()) + stack_bytes) &
+      ~std::uintptr_t{15};
+  auto* frame = reinterpret_cast<FirstFrame*>(top - sizeof(FirstFrame));
+  *frame = FirstFrame{};
+  // A new fiber starts with its creator's floating-point control state, as
+  // a thread does.
+  asm("fnstcw %0" : "=m"(frame->x87_cw));
+  asm("stmxcsr %0" : "=m"(frame->mxcsr));
+  frame->r12 = reinterpret_cast<void*>(&Fiber::trampoline);
+  frame->rbx = this;
+  frame->ret = reinterpret_cast<void*>(&bfly_fiber_entry);
+  sp_ = frame;
+#if defined(BFLY_TSAN_FIBERS)
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
   state_ = State::kRunnable;
 }
 
 Fiber::~Fiber() {
   // Destroying a live fiber abandons its stack; that is fine for simulation
   // teardown (Machine deletes all fibers when a run is abandoned).
+#if defined(BFLY_TSAN_FIBERS)
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
 }
 
-void Fiber::trampoline(unsigned hi, unsigned lo) {
-  auto* self = reinterpret_cast<Fiber*>(
-      (static_cast<std::uintptr_t>(hi) << 32) | lo);
+void Fiber::trampoline(Fiber* self) {
   asan_enter_fiber(nullptr);  // first entry: no fake stack to restore
   self->run_body();
 }
@@ -91,7 +214,8 @@ void Fiber::run_body() {
   __sanitizer_start_switch_fiber(nullptr, g_engine_stack_bottom,
                                  g_engine_stack_size);
 #endif
-  swapcontext(&ctx_, &g_engine_ctx);
+  tsan_leave_fiber();
+  bfly_fiber_switch(&sp_, g_engine_sp);
   // Never reached.
   std::abort();
 }
@@ -105,7 +229,11 @@ void Fiber::resume() {
   __sanitizer_start_switch_fiber(&g_engine_fake_stack, stack_.get(),
                                  stack_bytes_);
 #endif
-  swapcontext(&g_engine_ctx, &ctx_);
+#if defined(BFLY_TSAN_FIBERS)
+  g_engine_tsan_fiber = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
+  bfly_fiber_switch(&g_engine_sp, sp_);
 #if defined(BFLY_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(g_engine_fake_stack, nullptr, nullptr);
 #endif
@@ -120,7 +248,8 @@ void Fiber::yield_to_engine() {
   __sanitizer_start_switch_fiber(&self->asan_fake_stack_,
                                  g_engine_stack_bottom, g_engine_stack_size);
 #endif
-  swapcontext(&self->ctx_, &g_engine_ctx);
+  tsan_leave_fiber();
+  bfly_fiber_switch(&self->sp_, g_engine_sp);
   asan_enter_fiber(self->asan_fake_stack_);
 }
 

@@ -9,8 +9,6 @@
 // look exactly like the originals: plain blocking calls.
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -55,7 +53,7 @@ class Fiber {
   void set_name(std::string n) { name_ = std::move(n); }
 
  private:
-  static void trampoline(unsigned hi, unsigned lo);
+  static void trampoline(Fiber* self);
   void run_body();
 
   std::function<void()> body_;
@@ -65,7 +63,12 @@ class Fiber {
   // switched out (see the fiber-switch annotations in fiber.cpp).  Unused
   // (but harmless) in non-sanitized builds.
   void* asan_fake_stack_ = nullptr;
-  ucontext_t ctx_{};
+  // TSan's handle for this fiber (see the same annotations); unused in
+  // non-TSan builds.
+  void* tsan_fiber_ = nullptr;
+  // The fiber's saved stack pointer while it is switched out.  The register
+  // frame it points at is laid out by the switch routine in fiber.cpp.
+  void* sp_ = nullptr;
   State state_ = State::kCreated;
   std::string name_;
 };

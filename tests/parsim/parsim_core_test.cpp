@@ -1,7 +1,7 @@
 // Unit tests for the parsim primitives (mailbox, barrier, driver) with NO
-// fibers and NO Machine: everything here runs on plain host threads, which
-// is what lets ci/check.sh rebuild this one binary under ThreadSanitizer
-// (the parsim-tsan stage) without ucontext annotations.
+// fibers and NO Machine: everything here runs on plain host threads, so
+// under ThreadSanitizer (ci/check.sh's parsim-tsan stage) a finding here is
+// in the primitives themselves, never in the fiber switch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
