@@ -72,7 +72,7 @@ bridge::DiskParams serving_disk() {
 }
 
 struct Scenario {
-  const char* part;    // "clean" | "card" | "split"
+  const char* part;    // "clean" | "card" | "split" | "split-replay"
   double offered;      // total offered load, ops per simulated second
   sim::Time duration;  // measurement window
   bool card_fail;      // kill one stage-0 switch card mid-run
@@ -329,15 +329,14 @@ std::string row_json(const Scenario& sc, RunResult& r) {
       .kv("minority_acks", r.minority_acks)
       .kv("verified", r.verified)
       .kv("verify_fail", r.verify_fail)
-      .kv("alt_routed", r.alt_routed)
       .kv("suspects", r.suspects)
-      .kv("suspects_unreachable", r.suspects_unreachable)
-      .kv("unreachable_restored", r.unreachable_restored)
       .kv("dirty_logged", r.counters.dirty_logged)
       .kv("reconciled", r.counters.reconciled)
       .kv("quorum_rejects", r.counters.quorum_rejects)
       .kv("setup_s", bench::seconds(r.setup))
       .kv("elapsed_s", bench::seconds(r.elapsed))
+      // Carries alt_routed, suspects_unreachable and unreachable_restored,
+      // so the row must not repeat them.
       .raw(r.fault_json)
       .end_object();
   return jw.str();
@@ -345,7 +344,7 @@ std::string row_json(const Scenario& sc, RunResult& r) {
 
 void emit(const Scenario& sc, RunResult& r) {
   gate(r.setup == kWarm, "setup must finish inside the warmup window");
-  std::printf("%6s %9.0f %9.0f %9.0f %8.1f %8.1f %6llu %6llu %6llu\n",
+  std::printf("%12s %9.0f %9.0f %9.0f %8.1f %8.1f %6llu %6llu %6llu\n",
               sc.part, sc.offered, goodput(r, sc), cut_goodput(r, sc),
               pct_ms(r.resp, 0.50), pct_ms(r.resp, 0.99),
               static_cast<unsigned long long>(r.noquorum),
@@ -371,7 +370,7 @@ int main() {
               "partition splits even vs odd nodes, every block 2/1 across "
               "the cut\n",
               kServers, kWorkers, kBlocks);
-  std::printf("\n%6s %9s %9s %9s %8s %8s %6s %6s %6s\n", "part", "offered/s",
+  std::printf("\n%12s %9s %9s %9s %8s %8s %6s %6s %6s\n", "part", "offered/s",
               "goodput/s", "cut-gp/s", "p50ms", "p99ms", "noquo", "recon",
               "vfail");
 
@@ -441,7 +440,9 @@ int main() {
            rs2.counters.reconciled == rs.counters.reconciled &&
            rs2.counters.quorum_rejects == rs.counters.quorum_rejects,
        "replay: partition counters must be equal");
-  emit(split, rs2);
+  Scenario replay = split;
+  replay.part = "split-replay";
+  emit(replay, rs2);
 
   // --- BENCH_partition.json ------------------------------------------------
   const char* out_path = std::getenv("BFLY_PARTITION_OUT");

@@ -74,7 +74,6 @@ struct Row {
   sim::Time elapsed = 0;
   std::uint64_t lock_spins = 0;
   std::uint64_t combined_adds = 0;
-  std::string forfeit;         // parsim eligibility (empty = eligible)
   std::string sync_json;
 
   double per_op_us() const {
@@ -102,7 +101,6 @@ void emit(const Row& r) {
       .kv("ops", r.ops)
       .kv("elapsed_ms", bench::seconds(r.elapsed) * 1e3)
       .kv("per_op_us", r.per_op_us())
-      .kv("parallel_forfeit", r.forfeit)
       .raw(r.sync_json)
       .end_object();
   g_rows.push_back(jw.str());
@@ -111,7 +109,6 @@ void emit(const Row& r) {
 void finish_row(Row& r, sim::Machine& m) {
   r.lock_spins = m.stats().lock_spins;
   r.combined_adds = m.stats().combined_adds;
-  if (const char* f = m.parallel_forfeit()) r.forfeit = f;
   r.sync_json = m.stats().sync_json();
 }
 

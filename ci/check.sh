@@ -16,9 +16,7 @@
 #                        barrier, idle counters, observer contract) plus
 #                        the tsync weak-scaling bench's self-gates at
 #                        256/1K nodes (label sync-smoke)
-#   3c. parsim smoke   — the parallel host engine's A/B determinism suite
-#                        and host-thread primitive tests (label parsim-smoke)
-#   3d. sim-output gate— perfbench's self-test, then each perfbench workload
+#   3c. sim-output gate— perfbench's self-test, then each perfbench workload
 #                        at seed 1; fails unless run.py reports that the
 #                        run's sim_digest matches perfbench/baseline.json,
 #                        so a host-side change cannot alter simulated output
@@ -29,10 +27,6 @@
 #                        min-time, printing the BENCH_host_sim.json row.
 #                        NON-GATING: CI machines have wildly variable
 #                        throughput, so a slow run only warns
-#   5b. parsim tsan    — test_parsim_core (the fiber-free mailbox/barrier/
-#                        driver suite) and test_parsim (the Machine-level
-#                        A/B determinism suite) rebuilt under
-#                        ThreadSanitizer.  NON-GATING while the stage beds in
 #   6. asan preset     — ASan+UBSan build, full ctest suite
 #   7. lint            — clang-tidy over src/ against the compile database
 #                        (skips with a notice when clang-tidy isn't installed;
@@ -69,9 +63,6 @@ ctest --preset default -L sched-fuzz-smoke --output-on-failure --verbose
 step "sync smoke (MCS/tree-barrier/counter suites + tsync scaling gates)"
 ctest --preset default -L sync-smoke --output-on-failure
 
-step "parsim smoke (parallel host engine: A/B determinism + primitives)"
-ctest --preset default -L parsim-smoke --output-on-failure
-
 step "sim-output gate (perfbench self-test + seed-1 digests vs baseline)"
 python3 perfbench/run.py --self-test
 for workload in gauss_fig5 serve_open_loop serve_faults sync_1k; do
@@ -98,18 +89,6 @@ if BFLY_HOST_SIM_OUT=build/BENCH_host_sim_ci.json \
   :
 else
   echo "perf smoke failed (non-gating; host throughput varies in CI)"
-fi
-
-step "parsim tsan smoke (parsim core + Machine-level A/B suite under TSan, non-gating)"
-# The fiber switch announces every fiber to TSan, so the Machine-level
-# test_parsim suite runs here beside the fiber-free core suite.  Non-gating
-# while the stage beds in — a TSan finding prints loudly but does not fail
-# the job.
-if cmake --preset tsan && cmake --build --preset tsan -j "$JOBS" &&
-    ./build-tsan/tests/test_parsim_core && ./build-tsan/tests/test_parsim; then
-  :
-else
-  echo "parsim tsan smoke failed (non-gating; see output above)"
 fi
 
 step "configure + build (asan preset)"

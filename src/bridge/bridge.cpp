@@ -245,8 +245,13 @@ void BridgeFs::server_loop(std::uint32_t s) {
     k_.dq_enqueue(rq.reply_dq, rid);
     // Mark replied only after the charged enqueue completes: if the node
     // dies mid-enqueue the token was not delivered, and the death observer
-    // must still fail-reply this rid.
-    rq.replied = true;
+    // must still fail-reply this rid.  A client that gave up during the
+    // enqueue left the token on a queue nobody reads: reclaim it as
+    // abandoned.
+    if (rq.abandoned)
+      complete_abandoned(rid);
+    else
+      rq.replied = true;
     sv.current_rid = kNoRid;
     if (stop) break;
   }
@@ -441,7 +446,11 @@ bool BridgeFs::abandon_request(std::uint32_t rid) {
 
 void BridgeFs::release_reply_queue(chrys::Oid dq) {
   if (abandoned_on_dq_.count(dq) > 0) {
-    dq_deferred_.insert(dq);  // last abandoned completion deletes it
+    // The last abandoned completion deletes it.  Until then the queue must
+    // outlive the client process that created it, or the kernel reclaims
+    // it at that process's exit while a server is still replying into it.
+    k_.give_to_system(dq);
+    dq_deferred_.insert(dq);
     return;
   }
   k_.delete_object(dq);

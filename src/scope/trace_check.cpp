@@ -97,7 +97,10 @@ class Parser {
       skip_ws();
       JsonValue v;
       if (!value(&v)) return false;
-      out->obj.emplace(std::move(key), std::move(v));
+      // RFC 8259 leaves repeated names undefined and readers keep only one
+      // value, so a duplicate silently hides data: reject it.
+      if (!out->obj.emplace(key, std::move(v)).second)
+        return fail("duplicate object key \"" + key + "\"");
       skip_ws();
       if (pos_ >= s_.size()) return fail("unterminated object");
       if (s_[pos_] == ',') {
@@ -248,6 +251,7 @@ void add_error(std::vector<std::string>* errors, std::string msg) {
 }  // namespace
 
 bool json_parse(std::string_view text, JsonValue* out, std::string* error) {
+  *out = JsonValue{};  // a reused value must not merge with the last parse
   return Parser(text).parse(out, error);
 }
 

@@ -35,7 +35,8 @@ struct JsonValue {
 };
 
 /// Parse `text` as a JSON document.  Returns false (with a message in
-/// `error` when given) on any syntax violation, including trailing junk.
+/// `error` when given) on any syntax violation, including trailing junk and
+/// a key repeated within one object.
 bool json_parse(std::string_view text, JsonValue* out,
                 std::string* error = nullptr);
 

@@ -128,22 +128,6 @@ struct MachineConfig {
   /// environment forces it off regardless, for A/B comparison runs.
   bool host_fastpath = true;
 
-  // --- Parallel host engine (src/parsim; see DESIGN.md §4f) ----------------
-  /// Number of host-side shards the simulated nodes are partitioned across.
-  /// 1 (the default) is the serial engine, byte-identical to a build before
-  /// parsim existed.  With k > 1 shards, node n lives on shard
-  /// n * k / nodes (a stable block partition: contiguous node ranges, every
-  /// shard within one node of even).  Parallel runs are bit-identical for a
-  /// fixed shard count regardless of host thread count, and identical across
-  /// shard counts >= 2; they differ from the serial run only when module
-  /// queueing overlaps (see the arrival-order note in DESIGN.md §4f).
-  /// BFLY_HOST_SHARDS in the environment overrides this value.
-  std::uint32_t host_shards = 1;
-  /// Worker threads driving the shards (0 = min(shards, host cores)).
-  /// Purely a host resource knob: simulated behaviour is independent of it.
-  /// BFLY_HOST_THREADS in the environment overrides this value.
-  std::uint32_t host_threads = 0;
-
   /// RNG seed for any randomized machine behaviour (fully deterministic).
   std::uint64_t seed = 0x5eed5eedULL;
 };

@@ -79,38 +79,6 @@ class Engine {
     return now_;
   }
 
-  /// Run every event with time strictly before `bound`, leaving later
-  /// events pending.  The window-execution primitive of the parallel host
-  /// engine (src/parsim): a shard may only execute up to the global window
-  /// edge, because a cross-shard message can arrive at any time >= bound.
-  /// Ignores stop() — parallel runs forfeit instead (see Machine::run).
-  Time run_until(Time bound) {
-    while (!heap_.empty() && heap_.front().t < bound) {
-      Event ev = pop_min();
-      now_ = ev.t;
-      ++dispatched_;
-      if (ev.payload != nullptr) {
-        fiber_fn_(fiber_ctx_, ev.payload);
-      } else {
-        ev.fn();
-      }
-    }
-    return now_;
-  }
-
-  /// Pop the earliest pending event without dispatching it.  Used once per
-  /// parallel run to split the serial heap into per-shard heaps (events come
-  /// out in (t, seq) order, so reposting preserves tie order).  Returns
-  /// false when the heap is empty.
-  bool take_earliest(Time* t, void** payload, Action* fn) {
-    if (heap_.empty()) return false;
-    Event ev = pop_min();
-    *t = ev.t;
-    *payload = ev.payload;
-    *fn = std::move(ev.fn);
-    return true;
-  }
-
   /// Stop the run loop after the current event completes.
   void stop() { stopped_ = true; }
   /// True between a stop() call and the end of the current run() loop (the

@@ -25,22 +25,6 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
-// ThreadSanitizer likewise keeps one shadow thread state per fiber; it must
-// hear of each fiber's creation and destruction and of every switch, made
-// right before the switch (<sanitizer/tsan_interface.h>).  Switches use the
-// default (synchronising) flag: fibers on one host thread hand off
-// cooperatively, so each switch is a happens-before edge.
-#if defined(__SANITIZE_THREAD__)
-#define BFLY_TSAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define BFLY_TSAN_FIBERS 1
-#endif
-#endif
-#if defined(BFLY_TSAN_FIBERS)
-#include <sanitizer/tsan_interface.h>
-#endif
-
 // The stack switch.  bfly_fiber_switch(save, load) pushes the SysV
 // callee-saved state of the departing context — rbx, rbp, r12-r15, the
 // MXCSR and the x87 control word — stores rsp in *save, loads rsp from
@@ -125,11 +109,10 @@ struct FirstFrame {
 };
 static_assert(sizeof(FirstFrame) == 72);
 
-// One engine context per host thread: the parallel engine (src/parsim) runs
-// one shard's event loop per worker thread, and every fiber is resumed only
-// from its owning shard's thread, so thread_local keeps each worker's
-// engine/fiber switch state private.  The serial engine uses exactly one
-// thread and pays only the (negligible) TLS addressing cost.
+// One engine context per host thread: a Machine runs its whole event loop
+// on the thread that calls run(), so thread_local lets independent machines
+// run on separate host threads (each fiber is only ever resumed from the
+// thread that runs its Machine) at a negligible TLS addressing cost.
 thread_local Fiber* g_current = nullptr;
 thread_local void* g_engine_sp = nullptr;
 #if defined(BFLY_ASAN_FIBERS)
@@ -139,10 +122,6 @@ thread_local void* g_engine_fake_stack = nullptr;
 thread_local const void* g_engine_stack_bottom = nullptr;
 thread_local std::size_t g_engine_stack_size = 0;
 #endif
-#if defined(BFLY_TSAN_FIBERS)
-// TSan's handle for the host thread the engine runs on.
-thread_local void* g_engine_tsan_fiber = nullptr;
-#endif
 
 // Called first thing on arrival in a fiber; the departed context is always
 // the engine, so the out-params record the engine's stack bounds.
@@ -150,13 +129,6 @@ inline void asan_enter_fiber([[maybe_unused]] void* fake_stack) {
 #if defined(BFLY_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(fake_stack, &g_engine_stack_bottom,
                                   &g_engine_stack_size);
-#endif
-}
-
-// Called last thing before switching from a fiber to the engine.
-inline void tsan_leave_fiber() {
-#if defined(BFLY_TSAN_FIBERS)
-  __tsan_switch_to_fiber(g_engine_tsan_fiber, 0);
 #endif
 }
 }  // namespace
@@ -182,18 +154,12 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes,
   frame->rbx = this;
   frame->ret = reinterpret_cast<void*>(&bfly_fiber_entry);
   sp_ = frame;
-#if defined(BFLY_TSAN_FIBERS)
-  tsan_fiber_ = __tsan_create_fiber(0);
-#endif
   state_ = State::kRunnable;
 }
 
 Fiber::~Fiber() {
   // Destroying a live fiber abandons its stack; that is fine for simulation
   // teardown (Machine deletes all fibers when a run is abandoned).
-#if defined(BFLY_TSAN_FIBERS)
-  __tsan_destroy_fiber(tsan_fiber_);
-#endif
 }
 
 void Fiber::trampoline(Fiber* self) {
@@ -214,7 +180,6 @@ void Fiber::run_body() {
   __sanitizer_start_switch_fiber(nullptr, g_engine_stack_bottom,
                                  g_engine_stack_size);
 #endif
-  tsan_leave_fiber();
   bfly_fiber_switch(&sp_, g_engine_sp);
   // Never reached.
   std::abort();
@@ -228,10 +193,6 @@ void Fiber::resume() {
 #if defined(BFLY_ASAN_FIBERS)
   __sanitizer_start_switch_fiber(&g_engine_fake_stack, stack_.get(),
                                  stack_bytes_);
-#endif
-#if defined(BFLY_TSAN_FIBERS)
-  g_engine_tsan_fiber = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
   bfly_fiber_switch(&g_engine_sp, sp_);
 #if defined(BFLY_ASAN_FIBERS)
@@ -248,7 +209,6 @@ void Fiber::yield_to_engine() {
   __sanitizer_start_switch_fiber(&self->asan_fake_stack_,
                                  g_engine_stack_bottom, g_engine_stack_size);
 #endif
-  tsan_leave_fiber();
   bfly_fiber_switch(&self->sp_, g_engine_sp);
   asan_enter_fiber(self->asan_fake_stack_);
 }

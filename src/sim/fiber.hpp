@@ -63,9 +63,6 @@ class Fiber {
   // switched out (see the fiber-switch annotations in fiber.cpp).  Unused
   // (but harmless) in non-sanitized builds.
   void* asan_fake_stack_ = nullptr;
-  // TSan's handle for this fiber (see the same annotations); unused in
-  // non-TSan builds.
-  void* tsan_fiber_ = nullptr;
   // The fiber's saved stack pointer while it is switched out.  The register
   // frame it points at is laid out by the switch routine in fiber.cpp.
   void* sp_ = nullptr;

@@ -4,85 +4,8 @@
 #include <cassert>
 #include <cstdlib>
 #include <exception>
-#include <thread>
-
-#include "parsim/driver.hpp"
-#include "parsim/mailbox.hpp"
-#include "parsim/msg.hpp"
 
 namespace bfly::sim {
-
-// --- Parallel host engine run state (see DESIGN.md §4f) --------------------
-//
-// Everything a shard owns during a parallel run: its event heap/clock, its
-// RNG stream, the running-fiber pointer, fast-path counters, and the inbox
-// other shards send into.  Shards are heap-allocated once per run so their
-// addresses stay stable in the worker threads' TLS.
-struct ParsimRun {
-  struct Shard {
-    Engine engine;
-    Rng rng{0};
-    Machine::FiberCtl* cur = nullptr;  ///< fiber running on this shard
-    Time window_edge = 0;              ///< current conservative window edge
-    std::uint64_t fiber_resumes = 0;
-    std::uint64_t fastpath_charges = 0;
-    std::uint64_t messages = 0;        ///< messages delivered to this shard
-    std::uint32_t index = 0;
-    parsim::Mailbox inbox;
-    std::vector<parsim::Msg> staged;   ///< drain buffer, reused per window
-  };
-  std::vector<std::unique_ptr<Shard>> shard;
-  /// Per-*node* message sequence counters: the deterministic tie-break key
-  /// for mailbox delivery.  Only ever incremented by the node's owning
-  /// shard, so no synchronization — McKenney per-CPU style.
-  std::vector<std::uint64_t> node_seq;
-};
-
-namespace {
-// The shard whose event loop is executing on this host thread (null outside
-// parallel runs).  One worker drives several shards; the adapter points this
-// at the right shard before every drain/window callback.
-thread_local ParsimRun::Shard* t_shard = nullptr;
-}  // namespace
-
-// Machine <-> parsim::Driver glue.  The driver knows nothing about fibers or
-// memory; these three hooks are the entire surface it drives.
-struct ParsimAdapter final : parsim::ShardProgram {
-  explicit ParsimAdapter(Machine* m) : m_(m) {}
-
-  void shard_drain(std::uint32_t s) override {
-    ParsimRun::Shard* sh = m_->par_->shard[s].get();
-    t_shard = sh;
-    sh->staged.clear();
-    sh->inbox.drain(&sh->staged);  // sorted (arrive, src_node, seq)
-    for (parsim::Msg& msg : sh->staged) {
-      // Message deliveries ride the engine heap as tagged fiber events
-      // (pointer bit 0), so they interleave with resumes in (t, seq) order
-      // and count toward pending_fiber_events for quiescence.
-      auto* pm = new parsim::Msg(std::move(msg));
-      sh->engine.post_fiber_at(
-          pm->arrive, reinterpret_cast<void*>(
-                          reinterpret_cast<std::uintptr_t>(pm) | 1u));
-    }
-    sh->messages += sh->staged.size();
-    sh->staged.clear();
-  }
-
-  Time shard_next_time(std::uint32_t s) override {
-    Engine& e = m_->par_->shard[s]->engine;
-    return e.empty() ? parsim::kTimeNever : e.next_time();
-  }
-
-  void shard_window(std::uint32_t s, Time edge) override {
-    ParsimRun::Shard* sh = m_->par_->shard[s].get();
-    t_shard = sh;
-    sh->window_edge = edge;
-    sh->engine.run_until(edge);
-  }
-
- private:
-  Machine* m_;
-};
 
 Machine::Machine(MachineConfig cfg, FaultPlan faults)
     : cfg_(cfg),
@@ -99,12 +22,6 @@ Machine::Machine(MachineConfig cfg, FaultPlan faults)
       v != nullptr && v[0] != '\0' && v[0] != '0') {
     fastpath_ = false;
   }
-  std::uint32_t shards = cfg_.host_shards;
-  if (const char* v = std::getenv("BFLY_HOST_SHARDS");
-      v != nullptr && v[0] != '\0') {
-    shards = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-  }
-  eff_shards_ = std::min(std::max(shards, 1u), cfg_.nodes);
   combining_ = fabric_.combining();
   if (combining_) fabric_.set_stats(&stats_);
   if (faults_.any()) {
@@ -160,20 +77,11 @@ Machine::Machine(MachineConfig cfg, FaultPlan faults)
   }
 }
 
-Machine::~Machine() = default;
-
 // --- Fibers -------------------------------------------------------------
 
 Fiber* Machine::spawn(NodeId node, std::function<void()> body,
                       std::string name, Time start_delay) {
   Fiber* f = spawn_parked(node, std::move(body), std::move(name));
-  if (par_active_) {
-    // Fibers spawned mid-run land on their node's shard (== the spawner's;
-    // spawn_parked rejects cross-shard spawns) at the shard's local time.
-    std::lock_guard<std::mutex> g(fiber_mu_);
-    schedule_resume(ctl(f), t_shard->engine.now() + start_delay);
-    return f;
-  }
   schedule_resume(ctl(f), engine_.now() + start_delay);
   return f;
 }
@@ -182,10 +90,6 @@ Fiber* Machine::spawn_parked(NodeId node, std::function<void()> body,
                              std::string name) {
   if (node >= cfg_.nodes) throw SimError("spawn: bad node id");
   if (fault_checks_ && node_dead_[node]) throw NodeDeadError(node);
-  if (par_active_ && (t_shard == nullptr || shard_of(node) != t_shard->index))
-    throw SimError(
-        "parsim: cross-shard spawn during a parallel run (spawn onto the "
-        "target node from one of its own fibers, or use host_shards=1)");
   auto fiber = std::make_unique<Fiber>(std::move(body),
                                        cfg_.fiber_stack_bytes,
                                        std::move(name));
@@ -193,15 +97,10 @@ Fiber* Machine::spawn_parked(NodeId node, std::function<void()> body,
   FiberCtl c;
   c.fiber = std::move(fiber);
   c.node = node;
-  c.shard = shard_of(node);
-  {
-    std::unique_lock<std::mutex> lk(fiber_mu_, std::defer_lock);
-    if (par_active_) lk.lock();
-    auto [it, ok] = fibers_.emplace(f, std::move(c));
-    assert(ok);
-    (void)ok;
-    live_link(&it->second);
-  }
+  auto [it, ok] = fibers_.emplace(f, std::move(c));
+  assert(ok);
+  (void)ok;
+  live_link(&it->second);
   if (observer_) {
     HookScope h(this);
     observer_->on_spawn(Fiber::current(), f);
@@ -221,15 +120,6 @@ NodeId Machine::current_node() const {
 }
 
 NodeId Machine::node_of(Fiber* f) const {
-  if (par_active_) {
-    ParsimRun::Shard* sh = t_shard;
-    if (sh != nullptr && sh->cur != nullptr && sh->cur->fiber.get() == f)
-      return sh->cur->node;
-    std::lock_guard<std::mutex> g(fiber_mu_);
-    auto it = fibers_.find(f);
-    if (it == fibers_.end()) throw SimError("node_of: unknown fiber");
-    return it->second.node;
-  }
   if (cur_ctl_ != nullptr && cur_ctl_->fiber.get() == f) return cur_ctl_->node;
   auto it = fibers_.find(f);
   if (it == fibers_.end()) throw SimError("node_of: unknown fiber");
@@ -268,21 +158,12 @@ void Machine::live_unlink(FiberCtl* c) {
 }
 
 void Machine::reap(FiberCtl* c) {
-  std::unique_lock<std::mutex> lk(fiber_mu_, std::defer_lock);
-  if (par_active_) lk.lock();
   live_unlink(c);
   fibers_.erase(c->fiber.get());  // destroys c and frees the stack
 }
 
 void Machine::fiber_event(void* machine, void* payload) {
   auto* m = static_cast<Machine*>(machine);
-  const auto bits = reinterpret_cast<std::uintptr_t>(payload);
-  if (bits & 1u) {
-    // Tagged pointer: a cross-shard message delivery riding the fiber-event
-    // heap (see ParsimAdapter::shard_drain).
-    m->par_deliver(reinterpret_cast<parsim::Msg*>(bits & ~std::uintptr_t{1}));
-    return;
-  }
   m->do_resume(static_cast<FiberCtl*>(payload));
 }
 
@@ -292,17 +173,6 @@ void Machine::do_resume(FiberCtl* c) {
   assert(c->resume_pending);
   c->resume_pending = false;
   Fiber* f = c->fiber.get();
-  if (par_active_) {
-    ParsimRun::Shard* sh = t_shard;
-    assert(sh != nullptr && c->shard == sh->index &&
-           "fiber resumed off its owning shard");
-    ++sh->fiber_resumes;
-    sh->cur = c;
-    f->resume();
-    sh->cur = nullptr;
-    if (f->finished()) reap(c);
-    return;
-  }
   ++fiber_resumes_;
   cur_ctl_ = c;
   f->resume();
@@ -313,26 +183,10 @@ void Machine::do_resume(FiberCtl* c) {
 void Machine::schedule_resume(FiberCtl* c, Time at) {
   assert(!c->resume_pending);
   c->resume_pending = true;
-  if (par_active_) {
-    ParsimRun::Shard* sh = t_shard;
-    assert(sh != nullptr && c->shard == sh->index &&
-           "resume scheduled off the owning shard");
-    sh->engine.post_fiber_at(at, c);
-    return;
-  }
   engine_.post_fiber_at(at, c);
 }
 
-Time Machine::run() {
-  if (eff_shards_ > 1) {
-    par_forfeit_ = parallel_forfeit_reason();
-    if (par_forfeit_ == nullptr) return par_run();
-  } else {
-    par_forfeit_ = "host_shards=1";
-  }
-  par_stats_ = ParallelRunStats{};
-  return engine_.run();
-}
+Time Machine::run() { return engine_.run(); }
 
 std::vector<Fiber*> Machine::blocked_fibers() const {
   std::vector<Fiber*> out;
@@ -354,10 +208,6 @@ void Machine::check_kill(FiberCtl* c) {
 }
 
 void Machine::charge(Time ns) {
-  if (par_active_) {
-    par_charge(ns);
-    return;
-  }
   FiberCtl* c = current_ctl();
   if (c == nullptr) throw SimError("charge: not on a fiber");
   if (fault_checks_ && c->killed) {
@@ -401,7 +251,7 @@ void Machine::charged_compute(Time ns) {
 }
 
 void Machine::sleep_until(Time t) {
-  const Time n = now();  // shard-local clock during parallel runs
+  const Time n = now();
   charge(t > n ? t - n : 0);
 }
 
@@ -421,10 +271,6 @@ void Machine::park() {
 }
 
 void Machine::wakeup(Fiber* f, Time delay) {
-  if (par_active_) {
-    par_wakeup(f, delay);
-    return;
-  }
   FiberCtl* c = ctl(f);
   if (c == nullptr) return;  // already finished
   if (c->killed) return;     // doomed; it unwinds through its own path
@@ -587,20 +433,6 @@ void Machine::maybe_mem_fault(NodeId home) {
 }
 
 void Machine::abandon(Fiber* f) {
-  if (par_active_) {
-    FiberCtl* c = nullptr;
-    {
-      std::lock_guard<std::mutex> g(fiber_mu_);
-      auto it = fibers_.find(f);
-      if (it == fibers_.end()) return;  // already finished
-      c = &it->second;
-    }
-    assert(t_shard != nullptr && c->shard == t_shard->index &&
-           "parsim: abandon from a foreign shard");
-    assert(!c->resume_pending && f->state() != Fiber::State::kRunning);
-    reap(c);  // re-locks fiber_mu_
-    return;
-  }
   FiberCtl* c = ctl(f);
   if (c == nullptr) return;  // already finished
   assert(!c->resume_pending && f->state() != Fiber::State::kRunning);
@@ -621,7 +453,6 @@ std::uint8_t* Machine::raw(PhysAddr a, std::size_t n) { return raw_mut(a, n); }
 
 std::uint8_t* Machine::raw_mut(PhysAddr a, std::size_t n) {
   if (a.node >= cfg_.nodes) throw SimError("bad node in address");
-  par_assert_owner(a.node);
   Node& nd = node_[a.node];
   ensure_backing(nd, static_cast<std::size_t>(a.offset) + n);
   return nd.mem.data() + a.offset;
@@ -629,7 +460,6 @@ std::uint8_t* Machine::raw_mut(PhysAddr a, std::size_t n) {
 
 const std::uint8_t* Machine::raw_const(PhysAddr a, std::size_t n) const {
   if (a.node >= cfg_.nodes) throw SimError("bad node in address");
-  par_assert_owner(a.node);
   Node& nd = node_[a.node];
   ensure_backing(nd, static_cast<std::size_t>(a.offset) + n);
   return nd.mem.data() + a.offset;
@@ -637,7 +467,6 @@ const std::uint8_t* Machine::raw_const(PhysAddr a, std::size_t n) const {
 
 PhysAddr Machine::alloc(NodeId node, std::size_t bytes, std::size_t align) {
   if (node >= cfg_.nodes) throw SimError("alloc: bad node");
-  par_assert_owner(node);
   if (fault_checks_ && node_dead_[node]) throw NodeDeadError(node);
   if (bytes == 0) bytes = 1;
   (void)align;  // everything is 8-aligned
@@ -665,7 +494,6 @@ PhysAddr Machine::alloc(NodeId node, std::size_t bytes, std::size_t align) {
 
 void Machine::free(PhysAddr addr, std::size_t bytes) {
   if (addr.node >= cfg_.nodes) return;
-  par_assert_owner(addr.node);
   if (observer_) {
     HookScope h(this);
     observer_->on_free(addr, bytes);
@@ -742,8 +570,6 @@ double Machine::slow_factor(NodeId n) const {
 }
 
 void Machine::reference(PhysAddr a, std::uint32_t words, MemOp op) {
-  assert(!par_active_ &&
-         "parallel runs route references through par_word_op");
   const NodeId req = current_node();
   check_node(a.node);
   if (fault_checks_) {
@@ -769,9 +595,6 @@ void Machine::reference(PhysAddr a, std::uint32_t words, MemOp op) {
 }
 
 std::uint32_t Machine::fetch_add_u32(PhysAddr a, std::uint32_t delta) {
-  if (par_active_)
-    return static_cast<std::uint32_t>(
-        par_word_op(a, 1, 4, parsim::RefOp::kFetchAdd, delta));
   if (combining_)
     combining_fetch_add_reference(a);
   else
@@ -826,9 +649,6 @@ void Machine::combining_fetch_add_reference(PhysAddr a) {
 }
 
 std::uint32_t Machine::fetch_or_u32(PhysAddr a, std::uint32_t bits) {
-  if (par_active_)
-    return static_cast<std::uint32_t>(
-        par_word_op(a, 1, 4, parsim::RefOp::kFetchOr, bits));
   reference(a, 1, MemOp::kAtomic);
   auto* p = raw(a, 4);
   std::uint32_t old;
@@ -839,9 +659,6 @@ std::uint32_t Machine::fetch_or_u32(PhysAddr a, std::uint32_t bits) {
 }
 
 std::uint32_t Machine::test_and_set(PhysAddr a) {
-  if (par_active_)
-    return static_cast<std::uint32_t>(
-        par_word_op(a, 1, 4, parsim::RefOp::kTestAndSet, 0));
   reference(a, 1, MemOp::kAtomic);
   auto* p = raw(a, 4);
   std::uint32_t old;
@@ -852,9 +669,6 @@ std::uint32_t Machine::test_and_set(PhysAddr a) {
 }
 
 std::uint32_t Machine::swap_u32(PhysAddr a, std::uint32_t v) {
-  if (par_active_)
-    return static_cast<std::uint32_t>(
-        par_word_op(a, 1, 4, parsim::RefOp::kSwap, v));
   reference(a, 1, MemOp::kAtomic);
   auto* p = raw(a, 4);
   std::uint32_t old;
@@ -865,12 +679,6 @@ std::uint32_t Machine::swap_u32(PhysAddr a, std::uint32_t v) {
 
 std::uint32_t Machine::cas_u32(PhysAddr a, std::uint32_t expect,
                                std::uint32_t desired) {
-  if (par_active_) {
-    const std::uint64_t operand =
-        (static_cast<std::uint64_t>(expect) << 32) | desired;
-    return static_cast<std::uint32_t>(
-        par_word_op(a, 1, 4, parsim::RefOp::kCas, operand));
-  }
   reference(a, 1, MemOp::kAtomic);
   auto* p = raw(a, 4);
   std::uint32_t old;
@@ -881,10 +689,6 @@ std::uint32_t Machine::cas_u32(PhysAddr a, std::uint32_t expect,
 
 void Machine::block_copy(PhysAddr dst, PhysAddr src, std::size_t bytes) {
   if (bytes == 0) return;
-  if (par_active_) {
-    par_block_copy(dst, src, bytes);
-    return;
-  }
   const NodeId req = current_node();
   check_node(src.node);
   check_node(dst.node);
@@ -933,10 +737,6 @@ void Machine::block_copy(PhysAddr dst, PhysAddr src, std::size_t bytes) {
 
 void Machine::block_read(void* host_dst, PhysAddr src, std::size_t bytes) {
   if (bytes == 0) return;
-  if (par_active_) {
-    par_block_read(host_dst, src, bytes);
-    return;
-  }
   const NodeId req = current_node();
   check_node(src.node);
   if (fault_checks_) {
@@ -967,10 +767,6 @@ void Machine::block_read(void* host_dst, PhysAddr src, std::size_t bytes) {
 void Machine::block_write(PhysAddr dst, const void* host_src,
                           std::size_t bytes) {
   if (bytes == 0) return;
-  if (par_active_) {
-    par_block_write(dst, host_src, bytes);
-    return;
-  }
   const NodeId req = current_node();
   check_node(dst.node);
   if (fault_checks_) {
@@ -1001,10 +797,6 @@ void Machine::block_write(PhysAddr dst, const void* host_src,
 void Machine::access_words(PhysAddr a, std::uint32_t n, bool write) {
   (void)write;
   if (n == 0) return;
-  if (par_active_) {
-    par_access_words(a, n);
-    return;
-  }
   const NodeId req = current_node();
   check_node(a.node);
   if (fault_checks_) {
@@ -1033,657 +825,6 @@ void Machine::access_words(PhysAddr a, std::uint32_t n, bool write) {
   const Time total = q + static_cast<Time>(n) * per;
   s.stall_ns += total;
   charge(total);
-}
-
-// --- Parallel host engine (src/parsim; see DESIGN.md §4f) ------------------
-
-const char* Machine::parallel_forfeit_reason() const {
-  // The forfeit matrix: anything that needs the single global event order —
-  // faults and their unwind machinery, contention modelling (global switch
-  // port state), attached instrumentation (observers promise the serial
-  // event order), or host timers riding the serial engine — runs serially,
-  // byte-identical to host_shards=1.  Same philosophy as the charge() fast
-  // path: the optimization silently steps aside whenever anything could
-  // watch the difference.
-  if (fault_checks_) return "fault plan or kill_node active";
-  if (cfg_.model_switch_contention) return "switch contention model active";
-  if (observer_ != nullptr) return "memory observer attached";
-  if (trace_ != nullptr) return "trace sink attached";
-  if (wait_observer_ != nullptr) return "wait observer attached";
-  if (!death_observers_.empty() || !crash_observers_.empty())
-    return "death/crash observers registered";
-  if (!heal_observers_.empty()) return "heal observers registered";
-  if (engine_.pending() != engine_.pending_fiber_events())
-    return "timer/closure events pending";
-  return nullptr;
-}
-
-Time Machine::par_run() {
-  const std::uint32_t shards = eff_shards_;
-  std::uint32_t threads = cfg_.host_threads;
-  if (const char* v = std::getenv("BFLY_HOST_THREADS");
-      v != nullptr && v[0] != '\0') {
-    threads = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-  }
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = std::min(shards, hw == 0 ? 1u : hw);
-  }
-  threads = std::max(1u, std::min(threads, shards));
-
-  par_ = std::make_unique<ParsimRun>();
-  par_->node_seq.assign(cfg_.nodes, 0);
-  par_->shard.reserve(shards);
-  for (std::uint32_t i = 0; i < shards; ++i) {
-    auto sh = std::make_unique<ParsimRun::Shard>();
-    sh->index = i;
-    sh->engine.set_fiber_handler(&Machine::fiber_event, this);
-    sh->engine.warp_to(engine_.now());
-    // Per-shard RNG stream: deterministic in (seed, shard index), so a run
-    // is bit-identical for a fixed shard count regardless of thread count.
-    sh->rng.reseed(cfg_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-    par_->shard.push_back(std::move(sh));
-  }
-  // Tag every live fiber with its owning shard, then split the serial heap:
-  // take_earliest yields events in global (t, seq) order, so per-shard
-  // reposting preserves each shard's tie order exactly.
-  for (FiberCtl* c = live_head_; c != nullptr; c = c->live_next)
-    c->shard = shard_of(c->node);
-  Time t = 0;
-  void* payload = nullptr;
-  Engine::Action fn;
-  while (engine_.take_earliest(&t, &payload, &fn)) {
-    assert(payload != nullptr && "closure event past the forfeit check");
-    auto* c = static_cast<FiberCtl*>(payload);
-    par_->shard[c->shard]->engine.post_fiber_at(t, payload);
-  }
-
-  ParsimAdapter adapter(this);
-  parsim::Driver driver(adapter, shards, threads, fabric_.traversal_ns());
-  par_active_ = true;
-  try {
-    driver.run();
-  } catch (...) {
-    // A worker threw (cross-shard spawn, bad address, ...): shard clocks and
-    // heaps are no longer coherent with the serial engine, so drop the run
-    // state and surface the error — same contract as a serial run() whose
-    // workload threw out of a closure.
-    par_active_ = false;
-    t_shard = nullptr;
-    par_.reset();
-    throw;
-  }
-  par_active_ = false;
-  t_shard = nullptr;
-
-  Time final_t = engine_.now();
-  std::uint64_t msgs = 0;
-  for (const auto& sh : par_->shard) {
-    final_t = std::max(final_t, sh->engine.now());
-    fiber_resumes_ += sh->fiber_resumes;
-    fastpath_charges_ += sh->fastpath_charges;
-    par_events_ += sh->engine.events_dispatched();
-    msgs += sh->messages;
-    assert(sh->engine.empty());
-  }
-  engine_.warp_to(final_t);
-  if (engine_.pending() != 0)
-    throw SimError(
-        "parsim: engine().post_at during a parallel run — host timers "
-        "forfeit parallelism; run with host_shards=1");
-  const parsim::DriverStats& ds = driver.stats();
-  par_stats_ = ParallelRunStats{shards, threads, ds.windows, msgs,
-                                ds.barrier_wait_ns, ds.run_wall_ns};
-  par_.reset();
-  return final_t;
-}
-
-Time Machine::par_now() const {
-  ParsimRun::Shard* sh = t_shard;
-  return sh != nullptr ? sh->engine.now() : engine_.now();
-}
-
-Rng& Machine::par_rng() {
-  ParsimRun::Shard* sh = t_shard;
-  return sh != nullptr ? sh->rng : rng_;
-}
-
-Machine::FiberCtl* Machine::par_current_ctl(Fiber* f) const {
-  ParsimRun::Shard* sh = t_shard;
-  if (sh != nullptr && sh->cur != nullptr && sh->cur->fiber.get() == f)
-    return sh->cur;
-  std::lock_guard<std::mutex> g(fiber_mu_);
-  auto it = fibers_.find(f);
-  return it == fibers_.end() ? nullptr : const_cast<FiberCtl*>(&it->second);
-}
-
-std::size_t Machine::par_pending_fiber_events() const {
-  // Global AND across shards: scheduled resumes plus in-heap message
-  // deliveries (messages post as tagged fiber events) plus messages still
-  // sitting in a mailbox — so a machine with a cross-shard reference in
-  // flight never reports quiescent.
-  std::size_t n = 0;
-  for (const auto& sh : par_->shard)
-    n += sh->engine.pending_fiber_events() + sh->inbox.size();
-  return n;
-}
-
-void Machine::par_assert_owner([[maybe_unused]] NodeId n) const {
-  assert((!par_active_ ||
-          (t_shard != nullptr && shard_of(n) == t_shard->index)) &&
-         "Machine node internals touched from a non-owning shard thread");
-}
-
-void Machine::par_charge(Time ns) {
-  ParsimRun::Shard* sh = t_shard;
-  FiberCtl* c = sh != nullptr ? sh->cur : nullptr;
-  if (c == nullptr) throw SimError("charge: not on a fiber");
-  Engine& eng = sh->engine;
-  const Time at = eng.now() + ns;
-  // Same proof as the serial fast path (observers, faults and stop() are
-  // all forfeit conditions, so only the heap check remains), plus one new
-  // bound: the resume must stay strictly inside the current window, because
-  // a cross-shard message may arrive at any time >= the edge.
-  if (fastpath_ && at < sh->window_edge &&
-      (eng.empty() || at < eng.next_time())) {
-    eng.warp_to(at);
-    ++sh->fastpath_charges;
-    return;
-  }
-  schedule_resume(c, at);
-  Fiber::yield_to_engine();
-}
-
-void Machine::par_wakeup(Fiber* f, Time delay) {
-  ParsimRun::Shard* sh = t_shard;
-  if (sh == nullptr) throw SimError("wakeup: not on a shard thread");
-  FiberCtl* c = nullptr;
-  {
-    std::lock_guard<std::mutex> g(fiber_mu_);
-    auto it = fibers_.find(f);
-    if (it == fibers_.end()) return;  // already finished
-    c = &it->second;
-  }
-  if (c->shard == sh->index) {
-    // Same shard: serial wakeup semantics verbatim.
-    if (c->resume_pending || f->state() == Fiber::State::kRunning) return;
-    schedule_resume(c, sh->engine.now() + delay);
-    return;
-  }
-  // Cross-shard: the wakeup becomes a message and lands one switch
-  // traversal later — it crosses the same switch as every other cross-node
-  // signal, which is exactly what makes the lookahead window sound.  The
-  // owner revalidates at delivery, so a fiber that finished (or a reused
-  // address) in the meantime is dropped — the same contract as serial
-  // wakeup on a non-parked fiber.
-  FiberCtl* self = sh->cur;
-  if (self == nullptr) throw SimError("parsim: wakeup outside a fiber");
-  parsim::Msg m;
-  m.kind = parsim::MsgKind::kWake;
-  m.arrive = sh->engine.now() + fabric_.traversal_ns() + delay;
-  m.src_node = self->node;
-  m.seq = par_->node_seq[self->node]++;
-  m.waiter = f;
-  par_send(c->shard, std::move(m));
-}
-
-Time Machine::par_local_finish(NodeId node, std::uint32_t words,
-                               Time* queue_ns) {
-  // reference_finish specialized to req == home (route(n, n, t) == t, no
-  // reply traversal, no slow-node windows — those forfeit) on the calling
-  // shard's engine.
-  par_assert_owner(node);
-  const Time t = t_shard->engine.now() + cfg_.issue_overhead_ns;
-  Node& h = node_[node];
-  const Time start = std::max(t, h.module_busy_until);
-  if (queue_ns != nullptr) *queue_ns = start - t;
-  const Time service = static_cast<Time>(words) * cfg_.module_service_ns;
-  h.module_busy_until = start + service;
-  return start + service;
-}
-
-std::uint64_t Machine::par_word_op(PhysAddr a, std::uint32_t words,
-                                   std::uint32_t bytes, parsim::RefOp op,
-                                   std::uint64_t operand) {
-  ParsimRun::Shard* sh = t_shard;
-  FiberCtl* c = sh != nullptr ? sh->cur : nullptr;
-  if (c == nullptr) throw SimError("reference: not on a fiber");
-  const NodeId req = c->node;
-  check_node(a.node);
-  NodeStats& s = stats_.node[req];
-  if (a.node == req) {
-    // Local: no cross-node interaction, serial formulas verbatim.
-    Time q = 0;
-    const Time finish = par_local_finish(a.node, words, &q);
-    ++s.local_refs;
-    s.queue_ns += q;
-    const Time d = finish - sh->engine.now();
-    s.stall_ns += d;
-    par_charge(d);
-    return par_apply_word(a, op, operand, bytes);
-  }
-  // Remote: split phase.  The home shard applies the reference (module
-  // occupancy + data) at its simulated *arrival* time — arrival order, not
-  // issue order; see the determinism contract in DESIGN.md §4f.  All
-  // req != home references go through messages, even when both nodes share
-  // a shard, so results are independent of the shard count.
-  ++s.remote_refs;
-  const Time t0 = sh->engine.now();
-  parsim::Msg m;
-  m.kind = parsim::MsgKind::kRef;
-  m.op = op;
-  m.arrive = fabric_.route(req, a.node, t0 + cfg_.issue_overhead_ns, words);
-  m.src_node = req;
-  m.seq = par_->node_seq[req]++;
-  m.words = words;
-  m.bytes = bytes;
-  m.addr = a;
-  m.value = operand;
-  m.t0 = t0;
-  m.waiter = c;
-  m.waiter_shard = sh->index;
-  par_send(shard_of(a.node), std::move(m));
-  Fiber::yield_to_engine();  // the home shard's reply resumes us
-  s.queue_ns += c->reply_queue;
-  s.stall_ns += sh->engine.now() - t0;
-  return c->reply_value;
-}
-
-parsim::RefOp Machine::par_read_op() { return parsim::RefOp::kRead; }
-parsim::RefOp Machine::par_write_op() { return parsim::RefOp::kWrite; }
-
-void Machine::par_access_words(PhysAddr a, std::uint32_t n) {
-  ParsimRun::Shard* sh = t_shard;
-  FiberCtl* c = sh != nullptr ? sh->cur : nullptr;
-  if (c == nullptr) throw SimError("access_words: not on a fiber");
-  const NodeId req = c->node;
-  check_node(a.node);
-  NodeStats& s = stats_.node[req];
-  if (a.node == req) {
-    Time q = 0;
-    const Time first = par_local_finish(a.node, 1, &q);
-    const Time per = first - sh->engine.now() - q;  // uncontended latency
-    node_[a.node].module_busy_until +=
-        static_cast<Time>(n - 1) * cfg_.module_service_ns;
-    s.local_refs += n;
-    s.queue_ns += q;
-    const Time total = q + static_cast<Time>(n) * per;
-    s.stall_ns += total;
-    par_charge(total);
-    return;
-  }
-  s.remote_refs += n;
-  const Time t0 = sh->engine.now();
-  parsim::Msg m;
-  m.kind = parsim::MsgKind::kAccessWords;
-  m.arrive = fabric_.route(req, a.node, t0 + cfg_.issue_overhead_ns, 1);
-  m.src_node = req;
-  m.seq = par_->node_seq[req]++;
-  m.words = n;
-  m.addr = a;
-  m.t0 = t0;
-  m.waiter = c;
-  m.waiter_shard = sh->index;
-  par_send(shard_of(a.node), std::move(m));
-  Fiber::yield_to_engine();
-  s.queue_ns += c->reply_queue;
-  s.stall_ns += sh->engine.now() - t0;
-}
-
-void Machine::par_block_read(void* host_dst, PhysAddr src, std::size_t bytes) {
-  ParsimRun::Shard* sh = t_shard;
-  FiberCtl* c = sh != nullptr ? sh->cur : nullptr;
-  if (c == nullptr) throw SimError("block_read: not on a fiber");
-  const NodeId req = c->node;
-  check_node(src.node);
-  const std::uint32_t words = word_count(bytes);
-  const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
-  NodeStats& s = stats_.node[req];
-  s.block_words += words;
-  if (src.node == req) {
-    Time q = 0;
-    const Time head = par_local_finish(src.node, 1, &q);
-    node_[src.node].module_busy_until =
-        std::max(node_[src.node].module_busy_until, head) +
-        static_cast<Time>(words) * cfg_.module_service_ns;
-    ++s.local_refs;
-    s.queue_ns += q;
-    const Time total = (head - sh->engine.now()) + stream;
-    s.stall_ns += total;
-    par_charge(total);
-    peek_bytes(host_dst, src, bytes);
-    return;
-  }
-  ++s.remote_refs;
-  const Time t0 = sh->engine.now();
-  parsim::Msg m;
-  m.kind = parsim::MsgKind::kBlockRead;
-  m.arrive = fabric_.route(req, src.node, t0 + cfg_.issue_overhead_ns, 1);
-  m.src_node = req;
-  m.seq = par_->node_seq[req]++;
-  m.words = words;
-  m.bytes = static_cast<std::uint32_t>(bytes);
-  m.addr = src;
-  m.waiter = c;
-  m.waiter_shard = sh->index;
-  par_send(shard_of(src.node), std::move(m));
-  Fiber::yield_to_engine();
-  s.queue_ns += c->reply_queue;
-  s.stall_ns += sh->engine.now() - t0;
-  std::memcpy(host_dst, c->reply_blob.data(), bytes);
-  c->reply_blob = std::vector<std::uint8_t>();
-}
-
-void Machine::par_block_write(PhysAddr dst, const void* host_src,
-                              std::size_t bytes) {
-  ParsimRun::Shard* sh = t_shard;
-  FiberCtl* c = sh != nullptr ? sh->cur : nullptr;
-  if (c == nullptr) throw SimError("block_write: not on a fiber");
-  const NodeId req = c->node;
-  check_node(dst.node);
-  const std::uint32_t words = word_count(bytes);
-  const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
-  NodeStats& s = stats_.node[req];
-  s.block_words += words;
-  if (dst.node == req) {
-    Time q = 0;
-    const Time head = par_local_finish(dst.node, 1, &q);
-    node_[dst.node].module_busy_until =
-        std::max(node_[dst.node].module_busy_until, head) +
-        static_cast<Time>(words) * cfg_.module_service_ns;
-    ++s.local_refs;
-    s.queue_ns += q;
-    const Time total = (head - sh->engine.now()) + stream;
-    s.stall_ns += total;
-    par_charge(total);
-    poke_bytes(dst, host_src, bytes);
-    return;
-  }
-  ++s.remote_refs;
-  const Time t0 = sh->engine.now();
-  parsim::Msg m;
-  m.kind = parsim::MsgKind::kBlockWrite;
-  m.arrive = fabric_.route(req, dst.node, t0 + cfg_.issue_overhead_ns, 1);
-  m.src_node = req;
-  m.seq = par_->node_seq[req]++;
-  m.words = words;
-  m.bytes = static_cast<std::uint32_t>(bytes);
-  m.addr = dst;
-  m.waiter = c;
-  m.waiter_shard = sh->index;
-  m.blob.assign(static_cast<const std::uint8_t*>(host_src),
-                static_cast<const std::uint8_t*>(host_src) + bytes);
-  par_send(shard_of(dst.node), std::move(m));
-  Fiber::yield_to_engine();
-  s.queue_ns += c->reply_queue;
-  s.stall_ns += sh->engine.now() - t0;
-}
-
-void Machine::par_block_copy(PhysAddr dst, PhysAddr src, std::size_t bytes) {
-  ParsimRun::Shard* sh = t_shard;
-  FiberCtl* c = sh != nullptr ? sh->cur : nullptr;
-  if (c == nullptr) throw SimError("block_copy: not on a fiber");
-  const NodeId req = c->node;
-  check_node(src.node);
-  check_node(dst.node);
-  const std::uint32_t words = word_count(bytes);
-  const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
-  const Time occupancy = static_cast<Time>(words) * cfg_.module_service_ns;
-  NodeStats& s = stats_.node[req];
-  s.block_words += words;
-  if (src.node != req || dst.node != req) ++s.remote_refs;
-  else ++s.local_refs;
-  const Time t0 = sh->engine.now();
-  // Read leg: head-of-transfer latency to the source, data captured by the
-  // source's owner.
-  Time head = 0;
-  std::vector<std::uint8_t> data;
-  if (src.node == req) {
-    Time q = 0;
-    head = par_local_finish(src.node, 1, &q);
-    node_[src.node].module_busy_until =
-        std::max(node_[src.node].module_busy_until, head) + occupancy;
-    s.queue_ns += q;
-    data.resize(bytes);
-    peek_bytes(data.data(), src, bytes);
-    const Time total = (head - t0) + stream;
-    s.stall_ns += total;
-    par_charge(total);
-  } else {
-    parsim::Msg m;
-    m.kind = parsim::MsgKind::kBlockRead;
-    m.arrive = fabric_.route(req, src.node, t0 + cfg_.issue_overhead_ns, 1);
-    m.src_node = req;
-    m.seq = par_->node_seq[req]++;
-    m.words = words;
-    m.bytes = static_cast<std::uint32_t>(bytes);
-    m.addr = src;
-    m.waiter = c;
-    m.waiter_shard = sh->index;
-    par_send(shard_of(src.node), std::move(m));
-    Fiber::yield_to_engine();
-    s.queue_ns += c->reply_queue;
-    head = c->reply_value;  // source-side head-of-transfer completion
-    data = std::move(c->reply_blob);
-    c->reply_blob = std::vector<std::uint8_t>();
-    s.stall_ns += sh->engine.now() - t0;
-  }
-  // Write leg: the destination module streams the same words starting at
-  // `head` (serial formula: busy = max(busy, head) + occupancy).
-  if (dst.node == req) {
-    node_[dst.node].module_busy_until =
-        std::max(node_[dst.node].module_busy_until, head) + occupancy;
-    poke_bytes(dst, data.data(), bytes);
-    return;
-  }
-  parsim::Msg w;
-  w.kind = parsim::MsgKind::kBlockWrite;
-  w.arrive = sh->engine.now() + fabric_.traversal_ns();
-  w.src_node = req;
-  w.seq = par_->node_seq[req]++;
-  w.words = words;
-  w.bytes = static_cast<std::uint32_t>(bytes);
-  w.addr = dst;
-  w.t0 = head;          // busy-update base at the destination
-  w.waiter = nullptr;   // fire-and-forget: no reply leg
-  w.blob = std::move(data);
-  par_send(shard_of(dst.node), std::move(w));
-}
-
-void Machine::par_send(std::uint32_t dst_shard, parsim::Msg&& m) {
-  par_->shard[dst_shard]->inbox.send(std::move(m));
-}
-
-void Machine::par_deliver(parsim::Msg* m) {
-  std::unique_ptr<parsim::Msg> owned(m);
-  ParsimRun::Shard* sh = t_shard;
-  assert(sh != nullptr);
-  switch (m->kind) {
-    case parsim::MsgKind::kRef: {
-      // Home side of a split-phase single reference: module occupancy and
-      // the data operation apply now (arrival time), the reply departs at
-      // completion.
-      const PhysAddr a = m->addr;
-      par_assert_owner(a.node);
-      Node& h = node_[a.node];
-      const Time start = std::max(m->arrive, h.module_busy_until);
-      const Time service =
-          static_cast<Time>(m->words) * cfg_.module_service_ns;
-      h.module_busy_until = start + service;
-      ++stats_.node[a.node].serviced_remote;
-      m->value = par_apply_word(a, m->op, m->value, m->bytes);
-      m->queue_ns = start - m->arrive;
-      m->arrive = start + service + fabric_.traversal_ns();
-      m->kind = parsim::MsgKind::kReply;
-      m->src_node = a.node;
-      m->seq = par_->node_seq[a.node]++;
-      par_send(m->waiter_shard, std::move(*m));
-      return;
-    }
-    case parsim::MsgKind::kAccessWords: {
-      // Aggregate reference volume: the home module serves n back-to-back
-      // words; the requester is latency-bound (serial access_words model).
-      const PhysAddr a = m->addr;
-      par_assert_owner(a.node);
-      Node& h = node_[a.node];
-      const Time start = std::max(m->arrive, h.module_busy_until);
-      const Time q = start - m->arrive;
-      const std::uint64_t n = m->words;
-      h.module_busy_until =
-          start + static_cast<Time>(n) * cfg_.module_service_ns;
-      stats_.node[a.node].serviced_remote += n;
-      const Time per = cfg_.issue_overhead_ns + 2 * fabric_.traversal_ns() +
-                       cfg_.module_service_ns;
-      m->queue_ns = q;
-      m->arrive = m->t0 + q + static_cast<Time>(n) * per;
-      m->kind = parsim::MsgKind::kReply;
-      m->src_node = a.node;
-      m->seq = par_->node_seq[a.node]++;
-      par_send(m->waiter_shard, std::move(*m));
-      return;
-    }
-    case parsim::MsgKind::kBlockRead: {
-      const PhysAddr a = m->addr;
-      par_assert_owner(a.node);
-      Node& h = node_[a.node];
-      const Time start = std::max(m->arrive, h.module_busy_until);
-      const Time q = start - m->arrive;
-      // Head word pays full reference latency; the stream then occupies the
-      // module (serial block formulas).
-      const Time head =
-          start + cfg_.module_service_ns + fabric_.traversal_ns();
-      h.module_busy_until =
-          head + static_cast<Time>(m->words) * cfg_.module_service_ns;
-      m->blob.resize(m->bytes);
-      peek_bytes(m->blob.data(), a, m->bytes);
-      m->queue_ns = q;
-      m->value = head;  // block_copy uses this as the write-leg base
-      m->arrive = head + static_cast<Time>(m->words) * cfg_.block_word_ns;
-      m->kind = parsim::MsgKind::kReply;
-      m->src_node = a.node;
-      m->seq = par_->node_seq[a.node]++;
-      par_send(m->waiter_shard, std::move(*m));
-      return;
-    }
-    case parsim::MsgKind::kBlockWrite: {
-      const PhysAddr a = m->addr;
-      par_assert_owner(a.node);
-      Node& h = node_[a.node];
-      if (m->waiter == nullptr) {
-        // Fire-and-forget write leg of a block_copy: t0 carries the
-        // transfer head computed at the source.
-        h.module_busy_until =
-            std::max(h.module_busy_until, m->t0) +
-            static_cast<Time>(m->words) * cfg_.module_service_ns;
-        poke_bytes(a, m->blob.data(), m->bytes);
-        return;
-      }
-      // Round-trip block_write: same shape as kBlockRead, data flows in.
-      const Time start = std::max(m->arrive, h.module_busy_until);
-      const Time q = start - m->arrive;
-      const Time head =
-          start + cfg_.module_service_ns + fabric_.traversal_ns();
-      h.module_busy_until =
-          head + static_cast<Time>(m->words) * cfg_.module_service_ns;
-      poke_bytes(a, m->blob.data(), m->bytes);
-      m->blob = std::vector<std::uint8_t>();
-      m->queue_ns = q;
-      m->value = head;
-      m->arrive = head + static_cast<Time>(m->words) * cfg_.block_word_ns;
-      m->kind = parsim::MsgKind::kReply;
-      m->src_node = a.node;
-      m->seq = par_->node_seq[a.node]++;
-      par_send(m->waiter_shard, std::move(*m));
-      return;
-    }
-    case parsim::MsgKind::kReply: {
-      // Back on the requester's shard at completion time: fill the landing
-      // area and resume the waiting fiber synchronously (it blocked with
-      // yield_to_engine, not a scheduled resume).
-      auto* c = static_cast<FiberCtl*>(m->waiter);
-      assert(c != nullptr && c->shard == sh->index);
-      c->reply_value = m->value;
-      c->reply_queue = m->queue_ns;
-      c->reply_blob = std::move(m->blob);
-      c->resume_pending = true;
-      do_resume(c);
-      return;
-    }
-    case parsim::MsgKind::kWake: {
-      // Cross-shard wakeup: revalidate through the fiber map — the target
-      // may have finished (or its address been reused) since the sender
-      // looked; both cases drop the wakeup, matching serial semantics.
-      auto* f = static_cast<Fiber*>(m->waiter);
-      FiberCtl* c = nullptr;
-      {
-        std::lock_guard<std::mutex> g(fiber_mu_);
-        auto it = fibers_.find(f);
-        if (it != fibers_.end()) c = &it->second;
-      }
-      if (c == nullptr || c->shard != sh->index) return;
-      if (c->resume_pending || f->state() == Fiber::State::kRunning) return;
-      schedule_resume(c, sh->engine.now());
-      return;
-    }
-  }
-}
-
-std::uint64_t Machine::par_apply_word(PhysAddr a, parsim::RefOp op,
-                                      std::uint64_t operand,
-                                      std::uint32_t bytes) {
-  switch (op) {
-    case parsim::RefOp::kRead: {
-      std::uint64_t v = 0;
-      std::memcpy(&v, raw(a, bytes), bytes);
-      return v;
-    }
-    case parsim::RefOp::kWrite: {
-      std::memcpy(raw(a, bytes), &operand, bytes);
-      return 0;
-    }
-    case parsim::RefOp::kFetchAdd: {
-      auto* p = raw(a, 4);
-      std::uint32_t old;
-      std::memcpy(&old, p, 4);
-      const std::uint32_t nv = old + static_cast<std::uint32_t>(operand);
-      std::memcpy(p, &nv, 4);
-      return old;
-    }
-    case parsim::RefOp::kFetchOr: {
-      auto* p = raw(a, 4);
-      std::uint32_t old;
-      std::memcpy(&old, p, 4);
-      const std::uint32_t nv = old | static_cast<std::uint32_t>(operand);
-      std::memcpy(p, &nv, 4);
-      return old;
-    }
-    case parsim::RefOp::kTestAndSet: {
-      auto* p = raw(a, 4);
-      std::uint32_t old;
-      std::memcpy(&old, p, 4);
-      const std::uint32_t one = 1;
-      std::memcpy(p, &one, 4);
-      return old;
-    }
-    case parsim::RefOp::kSwap: {
-      auto* p = raw(a, 4);
-      std::uint32_t old;
-      std::memcpy(&old, p, 4);
-      const auto nv = static_cast<std::uint32_t>(operand);
-      std::memcpy(p, &nv, 4);
-      return old;
-    }
-    case parsim::RefOp::kCas: {
-      auto* p = raw(a, 4);
-      std::uint32_t old;
-      std::memcpy(&old, p, 4);
-      const auto expect = static_cast<std::uint32_t>(operand >> 32);
-      const auto desired = static_cast<std::uint32_t>(operand);
-      if (old == expect) std::memcpy(p, &desired, 4);
-      return old;
-    }
-  }
-  return 0;  // unreachable
 }
 
 }  // namespace bfly::sim

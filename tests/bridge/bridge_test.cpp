@@ -495,5 +495,76 @@ TEST(BridgeDeadline, AbandonedRequestsDoNotStrandTheServerOrTheSlots) {
   });
 }
 
+// A client that gives up while the server is inside its charged reply
+// enqueue, then exits at once.  Returns the machine's verdict plus the live
+// process count just before shutdown (the main process and one server).
+struct MidReplyOutcome {
+  bool timed_out = false;
+  std::size_t live_before_shutdown = 0;
+  bool deadlocked = true;
+};
+
+MidReplyOutcome abandon_mid_reply_then_exit(Time budget) {
+  Machine m(butterfly1(4));
+  chrys::Kernel k(m);
+  MidReplyOutcome out;
+  k.create_process(3, [&] {
+    BridgeFs fs(k, 1);
+    const FileId f = fs.create("data");
+    std::vector<std::uint8_t> blk(kBlockSize, 9);
+    fs.write_block(f, 0, blk.data());
+    bool client_done = false;
+    k.create_process(2, [&] {
+      std::vector<std::uint8_t> back(kBlockSize);
+      out.timed_out = !fs.read_block_for(f, 0, back.data(), budget);
+      client_done = true;
+      // Exits here: the kernel reclaims every object this process owns.
+    });
+    while (!client_done) k.delay(sim::kMillisecond);
+    k.delay(100 * sim::kMillisecond);  // the server finishes its reply
+    out.live_before_shutdown = k.live_processes();
+    fs.shutdown();
+  });
+  m.run();
+  out.deadlocked = m.deadlocked();
+  return out;
+}
+
+TEST(BridgeDeadline, ClientExitingAfterAbandoningMidReplyLeavesServerAlive) {
+  // Measure the budgeted read's round trip, then sweep the budget across
+  // its tail in steps well under one dq enqueue, so some budget expires
+  // while the server is charging its reply enqueue.  The abandoned reply
+  // queue must survive the client's exit: were it reclaimed with its
+  // creator, the server's enqueue would fault the server process and
+  // shutdown() would wait on it forever.
+  Time round_trip = 0;
+  {
+    Machine m(butterfly1(4));
+    chrys::Kernel k(m);
+    k.create_process(3, [&] {
+      BridgeFs fs(k, 1);
+      const FileId f = fs.create("data");
+      std::vector<std::uint8_t> blk(kBlockSize, 9), back(kBlockSize);
+      fs.write_block(f, 0, blk.data());
+      const Time t0 = m.now();
+      ASSERT_TRUE(fs.read_block_for(f, 0, back.data(), sim::kSecond));
+      round_trip = m.now() - t0;
+      fs.shutdown();
+    });
+    m.run();
+  }
+  ASSERT_GT(round_trip, 500 * sim::kMicrosecond);
+  const Time step = butterfly1(4).dq_enqueue_ns / 4;
+  std::size_t timeouts = 0;
+  for (Time b = round_trip - 500 * sim::kMicrosecond; b <= round_trip;
+       b += step) {
+    const MidReplyOutcome o = abandon_mid_reply_then_exit(b);
+    timeouts += o.timed_out ? 1 : 0;
+    EXPECT_EQ(o.live_before_shutdown, 2u) << "budget " << b;
+    EXPECT_FALSE(o.deadlocked) << "budget " << b;
+  }
+  EXPECT_GT(timeouts, 0u) << "the sweep must reach budgets that expire";
+}
+
 }  // namespace
 }  // namespace bfly::bridge

@@ -1,7 +1,10 @@
 // Cross-module integration and machine-wide property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/gauss.hpp"
+#include "apps/sort.hpp"
 #include "bridge/bridge.hpp"
 #include "chrysalis/kernel.hpp"
 #include "crowd/crowd.hpp"
@@ -51,6 +54,32 @@ TEST(Determinism, GaussSolutionIdenticalAcrossRuns) {
   EXPECT_EQ(r1.elapsed, r2.elapsed);
   EXPECT_EQ(r1.solution, r2.solution);
   EXPECT_EQ(r1.remote_refs, r2.remote_refs);
+}
+
+TEST(Determinism, GaussSmpSolutionIdenticalAcrossRuns) {
+  apps::GaussConfig cfg;
+  cfg.n = 24;
+  cfg.processors = 8;
+  cfg.memory_nodes = 8;
+  Machine m1(butterfly1(16)), m2(butterfly1(16));
+  const auto r1 = apps::gauss_smp(m1, cfg);
+  const auto r2 = apps::gauss_smp(m2, cfg);
+  EXPECT_LT(apps::gauss_error(r1, cfg.n, cfg.seed), 1e-6);
+  EXPECT_EQ(r1.elapsed, r2.elapsed);
+  EXPECT_EQ(r1.solution, r2.solution);
+}
+
+TEST(Determinism, BitonicSortIdenticalAcrossRuns) {
+  apps::SortConfig cfg;
+  cfg.n = 256;
+  cfg.processors = 4;
+  Machine m1(butterfly1(16)), m2(butterfly1(16));
+  const auto r1 = apps::bitonic_sort(m1, cfg);
+  const auto r2 = apps::bitonic_sort(m2, cfg);
+  EXPECT_FALSE(r1.deadlocked);
+  EXPECT_TRUE(std::is_sorted(r1.keys.begin(), r1.keys.end()));
+  EXPECT_EQ(r1.elapsed, r2.elapsed);
+  EXPECT_EQ(r1.keys, r2.keys);
 }
 
 // --- Machine-size property sweep ----------------------------------------------

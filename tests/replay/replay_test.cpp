@@ -71,6 +71,30 @@ TEST(InstantReplay, TimingPerturbationChangesTheOrderWithoutReplay) {
          "test to mean anything";
 }
 
+TEST(InstantReplay, RecordingTheSameRunTwiceGivesIdenticalLogs) {
+  // Determinism is what makes a recorded log worth keeping: the same racy
+  // program under the same timing must record the same history, entry for
+  // entry, and finish at the same simulated time.
+  const RacyRun a = run_racy(3, 4, Mode::kRecord, 1111);
+  const RacyRun b = run_racy(3, 4, Mode::kRecord, 1111);
+  EXPECT_EQ(a.order, b.order);
+  EXPECT_EQ(a.elapsed, b.elapsed);
+  ASSERT_EQ(a.log.per_actor.size(), b.log.per_actor.size());
+  for (std::size_t i = 0; i < a.log.per_actor.size(); ++i) {
+    ASSERT_EQ(a.log.per_actor[i].size(), b.log.per_actor[i].size())
+        << "actor " << i;
+    for (std::size_t j = 0; j < a.log.per_actor[i].size(); ++j) {
+      const AccessEntry& x = a.log.per_actor[i][j];
+      const AccessEntry& y = b.log.per_actor[i][j];
+      EXPECT_EQ(x.object, y.object) << i << "/" << j;
+      EXPECT_EQ(x.version, y.version) << i << "/" << j;
+      EXPECT_EQ(x.readers, y.readers) << i << "/" << j;
+      EXPECT_EQ(x.is_write, y.is_write) << i << "/" << j;
+      EXPECT_EQ(x.at, y.at) << i << "/" << j;
+    }
+  }
+}
+
 TEST(InstantReplay, ReplayForcesTheRecordedOrder) {
   RacyRun rec = run_racy(4, 6, Mode::kRecord, 1111);
   // Re-run under completely different timing, driven by the log.

@@ -130,6 +130,9 @@ TEST(TraceCheck, ParsesAndRejectsJson) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(json_parse("{\"a\":1} trailing", &v, &err));
   EXPECT_FALSE(json_parse("", &v, &err));
+  EXPECT_FALSE(json_parse("{\"a\":1,\"b\":{\"c\":2,\"c\":3}}", &v, &err));
+  EXPECT_NE(err.find("duplicate object key \"c\""), std::string::npos) << err;
+  EXPECT_TRUE(json_parse("{\"a\":{\"c\":1},\"b\":{\"c\":2}}", &v, &err));
 }
 
 TEST(TraceCheck, ValidatorFlagsBrokenTraces) {
