@@ -124,11 +124,11 @@ BENCHMARK(BM_DualQueueRoundTrip);
 
 // --- BENCH_host_sim.json row ---------------------------------------------
 //
-// The hand-timed pass below measures the three primitive rates with
-// std::chrono (google-benchmark's own numbers stay on stdout) and appends
-// one substrate row (event dispatch and fiber switch rates, which do not
-// depend on the fast path) plus one timed-reference row per fast-path
-// setting.  "Simulated events" counts dispatched engine events *plus*
+// The hand-timed pass below measures the primitive rates with std::chrono
+// (google-benchmark's own numbers stay on stdout) and appends one substrate
+// row (event dispatch, engine round-trip switch and fiber-to-fiber handoff
+// rates, which do not depend on the fast path) plus one timed-reference row
+// per fast-path setting.  "Simulated events" counts dispatched engine events *plus*
 // switch-free fast-path charges: a warped charge does the work an event
 // used to, so the denominator stays comparable across engine generations.
 
@@ -167,6 +167,28 @@ double measure_fiber_switches() {
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kPairs; ++i) f.resume();
   return kPairs / host_seconds_since(t0);
+}
+
+struct HandoffRate {
+  std::uint64_t handoffs = 0;
+  double per_sec = 0;
+};
+
+/// Two fibers charging in turn: each charge's earliest pending event is
+/// the other fiber's resume, so every block is a handoff that bypasses the
+/// engine (one stack switch plus the heap work of one event).
+HandoffRate measure_handoffs() {
+  constexpr int kCharges = 100000;  // per fiber
+  sim::Machine m(sim::butterfly1(4));
+  for (sim::NodeId n = 0; n < 2; ++n)
+    m.spawn(n, [&m] {
+      for (int i = 0; i < kCharges; ++i) m.charge(sim::kMicrosecond);
+    });
+  const auto t0 = std::chrono::steady_clock::now();
+  m.run();
+  const double dt = host_seconds_since(t0);
+  const std::uint64_t handoffs = m.host_perf().handoffs;
+  return HandoffRate{handoffs, static_cast<double>(handoffs) / dt};
 }
 
 HostRow measure_timed_refs(bool fastpath) {
@@ -225,11 +247,13 @@ void emit_value(const scope::JsonValue& v, sim::json::Writer& w) {
 }
 
 void emit_substrate_row(double events_per_sec, double switches_per_sec,
-                        sim::json::Writer& w) {
+                        const HandoffRate& handoff, sim::json::Writer& w) {
   w.begin_object()
       .kv("label", "substrate")
       .kv("events_per_sec", events_per_sec)
       .kv("fiber_switches_per_sec", switches_per_sec)
+      .kv("handoffs", handoff.handoffs)
+      .kv("handoffs_per_sec", handoff.per_sec)
       .end_object();
 }
 
@@ -249,6 +273,7 @@ void append_json_rows() {
 
   const double events_per_sec = measure_event_dispatch();
   const double switches_per_sec = measure_fiber_switches();
+  const HandoffRate handoff = measure_handoffs();
   HostRow on = measure_timed_refs(true);
   HostRow off = measure_timed_refs(false);
   const double speedup = on.timed_refs_per_sec / off.timed_refs_per_sec;
@@ -282,7 +307,7 @@ void append_json_rows() {
     if (runs != nullptr && runs->kind == scope::JsonValue::Kind::kArray)
       for (const auto& r : runs->arr) emit_value(r, w);
   }
-  emit_substrate_row(events_per_sec, switches_per_sec, w);
+  emit_substrate_row(events_per_sec, switches_per_sec, handoff, w);
   emit_row(off, 0, w);
   emit_row(on, speedup, w);
   w.end_array().end_object();
@@ -298,10 +323,12 @@ void append_json_rows() {
       "\nBENCH_host_sim row -> %s\n"
       "  events/sec           %.3g\n"
       "  fiber switches/sec   %.3g\n"
+      "  handoffs/sec         %.3g (%llu handoffs)\n"
       "  timed refs/sec       %.3g (fastpath on) / %.3g (off)\n"
       "  host-ns per sim event %.1f (on) / %.1f (off)\n"
       "  fastpath speedup     %.1fx\n",
-      path.c_str(), events_per_sec, switches_per_sec, on.timed_refs_per_sec,
+      path.c_str(), events_per_sec, switches_per_sec, handoff.per_sec,
+      static_cast<unsigned long long>(handoff.handoffs), on.timed_refs_per_sec,
       off.timed_refs_per_sec, on.host_ns_per_event, off.host_ns_per_event,
       speedup);
 }

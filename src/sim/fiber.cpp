@@ -117,18 +117,26 @@ thread_local Fiber* g_current = nullptr;
 thread_local void* g_engine_sp = nullptr;
 #if defined(BFLY_ASAN_FIBERS)
 // The engine runs on the host thread's own stack; its bounds are learned
-// from the first finish_switch_fiber on arrival in a fiber.
+// from finish_switch_fiber on arrival in a fiber from the engine.
 thread_local void* g_engine_fake_stack = nullptr;
 thread_local const void* g_engine_stack_bottom = nullptr;
 thread_local std::size_t g_engine_stack_size = 0;
+// Whether the context switching into a fiber is the engine (resume) or
+// another fiber (switch_to).
+thread_local bool g_from_engine = false;
 #endif
 
-// Called first thing on arrival in a fiber; the departed context is always
-// the engine, so the out-params record the engine's stack bounds.
+// Called first thing on arrival in a fiber.  Only an arrival from the
+// engine records the departed stack's bounds as the engine's: a fiber that
+// arrives from another fiber must leave them alone.
 inline void asan_enter_fiber([[maybe_unused]] void* fake_stack) {
 #if defined(BFLY_ASAN_FIBERS)
-  __sanitizer_finish_switch_fiber(fake_stack, &g_engine_stack_bottom,
-                                  &g_engine_stack_size);
+  if (g_from_engine) {
+    __sanitizer_finish_switch_fiber(fake_stack, &g_engine_stack_bottom,
+                                    &g_engine_stack_size);
+  } else {
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+  }
 #endif
 }
 }  // namespace
@@ -191,6 +199,7 @@ void Fiber::resume() {
   state_ = State::kRunning;
   g_current = this;
 #if defined(BFLY_ASAN_FIBERS)
+  g_from_engine = true;
   __sanitizer_start_switch_fiber(&g_engine_fake_stack, stack_.get(),
                                  stack_bytes_);
 #endif
@@ -210,6 +219,23 @@ void Fiber::yield_to_engine() {
                                  g_engine_stack_bottom, g_engine_stack_size);
 #endif
   bfly_fiber_switch(&self->sp_, g_engine_sp);
+  asan_enter_fiber(self->asan_fake_stack_);
+}
+
+void Fiber::switch_to(Fiber& next) {
+  Fiber* self = g_current;
+  assert(self != nullptr && "switch_to() must be called from a fiber");
+  assert(self != &next);
+  assert(next.state_ == State::kRunnable || next.state_ == State::kBlocked);
+  self->state_ = State::kBlocked;
+  next.state_ = State::kRunning;
+  g_current = &next;
+#if defined(BFLY_ASAN_FIBERS)
+  g_from_engine = false;
+  __sanitizer_start_switch_fiber(&self->asan_fake_stack_, next.stack_.get(),
+                                 next.stack_bytes_);
+#endif
+  bfly_fiber_switch(&self->sp_, next.sp_);
   asan_enter_fiber(self->asan_fake_stack_);
 }
 

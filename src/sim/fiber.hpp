@@ -4,9 +4,10 @@
 // manager, Ant Farm thread, ...) runs on a Fiber.  Fibers are cooperatively
 // scheduled by the discrete-event engine on a single host thread, so the
 // whole simulation is deterministic.  Code running on a fiber blocks by
-// switching back to the engine context; the engine resumes it from a timed
-// event.  This lets the ported Butterfly APIs (event_wait, dequeue, ...)
-// look exactly like the originals: plain blocking calls.
+// switching away — back to the engine context, or straight to the fiber
+// the next event resumes (Machine's direct handoff) — and is resumed from a
+// timed event.  This lets the ported Butterfly APIs (event_wait, dequeue,
+// ...) look exactly like the originals: plain blocking calls.
 #pragma once
 
 #include <cstddef>
@@ -36,13 +37,19 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Switch from the engine context into this fiber.  Returns when the
-  /// fiber yields, blocks, or finishes.  Must not be called from a fiber.
+  /// Switch from the engine context into this fiber.  Returns when a
+  /// fiber — this one, or one it handed off to — yields to the engine or
+  /// finishes.  Must not be called from a fiber.
   void resume();
 
   /// Switch from the currently running fiber back to the engine.  The
-  /// fiber's state becomes kBlocked until someone calls resume() again.
+  /// fiber's state becomes kBlocked until someone resumes it again.
   static void yield_to_engine();
+
+  /// Switch from the currently running fiber straight to `next`, bypassing
+  /// the engine.  The caller becomes kBlocked and `next` kRunning; returns
+  /// when some context resumes the caller.  `next` must not be the caller.
+  static void switch_to(Fiber& next);
 
   /// The fiber currently executing, or nullptr when the engine is running.
   static Fiber* current();

@@ -164,20 +164,44 @@ void Machine::reap(FiberCtl* c) {
 
 void Machine::fiber_event(void* machine, void* payload) {
   auto* m = static_cast<Machine*>(machine);
-  m->do_resume(static_cast<FiberCtl*>(payload));
+  m->enter(static_cast<FiberCtl*>(payload));
 }
 
-void Machine::do_resume(FiberCtl* c) {
+void Machine::enter(FiberCtl* c) {
   // A FiberCtl with a pending resume is never reaped (do_kill defers to the
   // pending event, abandon() forbids it), so `c` is always alive here.
-  assert(c->resume_pending);
+  // do_kill enters parked fibers, which have no resume pending.
   c->resume_pending = false;
-  Fiber* f = c->fiber.get();
   ++fiber_resumes_;
+  FiberCtl* const from = cur_ctl_;
+  // Self-resume: the blocking fiber's own resume is the next event, so it
+  // is already where the switch would land — keep running.
+  if (from == c) return;
   cur_ctl_ = c;
-  f->resume();
+  if (from != nullptr) {
+    ++handoffs_;
+    Fiber::switch_to(*c->fiber);
+    // Resumed: whoever switched back here set cur_ctl_ to `from`.
+    return;
+  }
+  c->fiber->resume();
+  // The fiber that came back to the engine is the last one entered, which
+  // need not be `c`: `c` may have handed off before it yielded or finished.
+  FiberCtl* const back = cur_ctl_;
   cur_ctl_ = nullptr;
-  if (f->finished()) reap(c);
+  if (back->fiber->finished()) reap(back);
+}
+
+void Machine::block(FiberCtl* c, void* next) {
+  assert(cur_ctl_ == c);
+  (void)c;
+  if (next == nullptr) {
+    // The earliest event is a closure, the heap is empty, or a stop is
+    // requested: the engine's run loop decides.
+    Fiber::yield_to_engine();
+    return;
+  }
+  enter(static_cast<FiberCtl*>(next));
 }
 
 void Machine::schedule_resume(FiberCtl* c, Time at) {
@@ -240,8 +264,9 @@ void Machine::charge(Time ns) {
   // (hooks run only when an observer is attached, which forfeits the fast
   // path above — so this check is complete here).
   if (hook_depth_ != 0) ++hook_charges_;
-  schedule_resume(c, at);
-  Fiber::yield_to_engine();
+  assert(!c->resume_pending);
+  c->resume_pending = true;
+  block(c, engine_.post_fiber_and_take(at, c));
   if (fault_checks_) check_kill(c);
 }
 
@@ -263,11 +288,11 @@ void Machine::park() {
       check_kill(c);
       return;
     }
-    Fiber::yield_to_engine();
+    block(c, engine_.take_fiber_event());
     check_kill(c);
     return;
   }
-  Fiber::yield_to_engine();
+  block(c, engine_.take_fiber_event());
 }
 
 void Machine::wakeup(Fiber* f, Time delay) {
@@ -349,11 +374,7 @@ void Machine::do_kill(NodeId n, bool silent) {
     }
     // Parked: resume it so park() raises FiberKill and the stack unwinds
     // through run_body, running destructors along the way.
-    ++fiber_resumes_;
-    cur_ctl_ = c;
-    f->resume();
-    cur_ctl_ = nullptr;
-    if (f->finished()) reap(c);
+    enter(c);
   }
 }
 

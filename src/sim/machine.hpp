@@ -108,10 +108,10 @@ class Machine {
   /// Fibers spawned and not yet finished.
   std::size_t live_fibers() const { return live_count_; }
 
-  /// Host-side substrate cost of the run so far (events, switches,
-  /// switch-free charges).  Observational; see sim/stats.hpp.
+  /// Host-side substrate cost of the run so far (events, resumes,
+  /// handoffs, switch-free charges).  Observational; see sim/stats.hpp.
   HostPerf host_perf() const {
-    return HostPerf{engine_.events_dispatched(), fiber_resumes_,
+    return HostPerf{engine_.events_dispatched(), fiber_resumes_, handoffs_,
                     fastpath_charges_, fastpath_};
   }
   /// True when charge() may take the switch-free fast path this run
@@ -502,11 +502,19 @@ class Machine {
   }
   void schedule_resume(FiberCtl* c, Time at);
   /// Trampoline for the engine's typed fiber events (see Engine::
-  /// set_fiber_handler): `payload` is the FiberCtl* scheduled by
-  /// schedule_resume.
+  /// set_fiber_handler): `payload` is the FiberCtl* whose resume was
+  /// posted (schedule_resume, or charge's fused post).
   static void fiber_event(void* machine, void* payload);
-  /// Resume `c` now, maintaining cur_ctl_, and reap it if it finished.
-  void do_resume(FiberCtl* c);
+  /// The one place a fiber is dispatched, from the engine (fiber events,
+  /// kill unwinds) or from a blocking fiber (handoff): clears the pending
+  /// resume, counts it, maintains cur_ctl_, and — when control comes back
+  /// to the engine — reaps the fiber that came back if it finished.
+  void enter(FiberCtl* c);
+  /// Block the calling fiber `c` after the engine handed it `next`, the
+  /// payload of the earliest event when that is a fiber event (see
+  /// Engine::take_fiber_event): enter that fiber — possibly `c` itself —
+  /// or, on nullptr, yield to the engine.  Returns when `c` is resumed.
+  void block(FiberCtl* c, void* next);
   void reap(FiberCtl* c);
   void live_link(FiberCtl* c);
   void live_unlink(FiberCtl* c);
@@ -548,6 +556,7 @@ class Machine {
 
   bool fastpath_ = true;  // cfg.host_fastpath minus BFLY_NO_FASTPATH
   std::uint64_t fiber_resumes_ = 0;
+  std::uint64_t handoffs_ = 0;
   std::uint64_t fastpath_charges_ = 0;
 
   bool fault_checks_ = false;  // any fault possible this run

@@ -7,12 +7,12 @@
 // up to kInlineBytes in place and only falls back to the heap for outsized
 // captures.  Move-only, like the engine's ownership of its events.
 //
-// Heap sifting moves events around constantly, so moves must be cheap:
-// a trivially-copyable inline callable (virtually every lambda the runtime
-// layers post — captures of pointers and integers) and the heap-fallback
-// pointer both relocate with a plain memcpy of the buffer; only a
-// non-trivial inline callable pays an indirect call to its move
-// constructor.
+// The engine moves a closure once, into a pool slot, and runs it there, so
+// the move is cheap rather than hot: a trivially-copyable inline callable
+// (virtually every lambda the runtime layers post — captures of pointers
+// and integers) and the heap-fallback pointer both relocate with a plain
+// memcpy of the buffer; only a non-trivial inline callable pays an
+// indirect call to its move constructor.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +26,8 @@ namespace bfly::sim {
 class SmallFn {
  public:
   /// Covers every closure the runtime layers post today (the largest is
-  /// Kernel's dual-queue timeout at three words, see kernel.cpp); an event
-  /// stays a single cache line.  Outsized captures fall back to the heap.
+  /// Kernel's dual-queue timeout at three words, see kernel.cpp).
+  /// Outsized captures fall back to the heap.
   static constexpr std::size_t kInlineBytes = 24;
 
   SmallFn() = default;
@@ -82,6 +82,14 @@ class SmallFn {
 
   void operator()() { ops_->invoke(buf_); }
 
+  /// Destroy the callable, leaving this SmallFn empty.
+  void reset() {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
+
  private:
   struct Ops {
     void (*invoke)(void* p);
@@ -127,13 +135,6 @@ class SmallFn {
       std::memcpy(buf_, o.buf_, kInlineBytes);  // fixed size: vector copies
     } else {
       ops_->relocate(buf_, o.buf_);
-    }
-  }
-
-  void reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
     }
   }
 

@@ -26,12 +26,16 @@ struct NodeStats {
 
 /// Host-side cost counters for the simulation substrate itself.  Unlike
 /// NodeStats these describe the *host* machine — how many engine events,
-/// context switches, and switch-free charges a run cost — and carry no
-/// paper-reproduction meaning.  They feed bench_host_simulator's
+/// fiber resumes, handoffs and switch-free charges a run cost — and carry
+/// no paper-reproduction meaning.  They feed bench_host_simulator's
 /// BENCH_host_sim.json trajectory row and never influence simulation.
 struct HostPerf {
   std::uint64_t events_dispatched = 0;  ///< engine events popped and run
-  std::uint64_t fiber_resumes = 0;      ///< full fiber context switches
+  /// Fiber resume events delivered, however they were delivered: from the
+  /// engine (two stack switches), by handoff (one), or as a blocking
+  /// fiber's own next event (none).
+  std::uint64_t fiber_resumes = 0;
+  std::uint64_t handoffs = 0;  ///< fiber-to-fiber switches, engine bypassed
   std::uint64_t fastpath_charges = 0;   ///< charges that warped, no switch
   bool fastpath_enabled = false;
 
@@ -40,6 +44,7 @@ struct HostPerf {
     json::Writer w(json::Writer::kFragment);
     w.kv("events_dispatched", events_dispatched)
         .kv("fiber_resumes", fiber_resumes)
+        .kv("handoffs", handoffs)
         .kv("fastpath_charges", fastpath_charges)
         .kv("fastpath_enabled", fastpath_enabled);
     return w.take();

@@ -67,13 +67,11 @@ std::uint32_t SwitchFabric::port_index(std::uint32_t stage, NodeId src,
 
 std::uint32_t SwitchFabric::wire_at(std::uint32_t stage, std::uint32_t src,
                                     NodeId dst) const {
-  std::uint32_t pos = 0;
-  for (std::uint32_t i = 0; i < stages_; ++i) {
-    const std::uint32_t shift = 2 * (stages_ - 1 - i);
-    const std::uint32_t digit = ((i <= stage ? dst : src) >> shift) & 3u;
-    pos |= digit << shift;
-  }
-  return pos;
+  // Digits 0..stage (most significant first) come from dst, the rest from
+  // src: `low` covers the 2 * (stages_ - 1 - stage) bits still taken from
+  // the source.
+  const std::uint32_t low = (1u << (2 * (stages_ - 1 - stage))) - 1u;
+  return ((dst & ~low) | (src & low)) & (reach_ - 1u);
 }
 
 std::uint32_t SwitchFabric::card_at(std::uint32_t stage,

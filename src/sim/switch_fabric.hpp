@@ -105,15 +105,19 @@ class SwitchFabric {
   /// Fetch-adds that merged at a switch instead of reaching the module.
   std::uint64_t combined_adds() const { return combined_adds_; }
 
+  /// Virtual wire position a packet entering on row `src` and bound for
+  /// `dst` occupies after stage `stage` (unfolded space): the high
+  /// stage + 1 base-4 digits of `dst` above the remaining low digits of
+  /// `src`.  O(1), so route() costs O(stages).
+  std::uint32_t wire_at(std::uint32_t stage, std::uint32_t src,
+                        NodeId dst) const;
+
   /// Packets dropped (and retried) / delayed by fault injection.
   std::uint64_t packets_dropped() const { return packets_dropped_; }
   std::uint64_t packets_delayed() const { return packets_delayed_; }
 
  private:
   std::uint32_t port_index(std::uint32_t stage, NodeId src, NodeId dst) const;
-  /// Virtual wire position occupied after stage `stage` (unfolded space).
-  std::uint32_t wire_at(std::uint32_t stage, std::uint32_t src,
-                        NodeId dst) const;
   /// Card owning `wire` at `stage`: the wire position with digit `stage`
   /// removed.
   std::uint32_t card_at(std::uint32_t stage, std::uint32_t wire) const;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sim/machine.hpp"
 
 namespace bfly::sim {
@@ -13,6 +15,33 @@ TEST(Switch, StageCountIsCeilLog4) {
   EXPECT_EQ(SwitchFabric(butterfly1(64)).stages(), 3u);
   EXPECT_EQ(SwitchFabric(butterfly1(128)).stages(), 4u);  // 128 needs 4 stages
   EXPECT_EQ(SwitchFabric(butterfly1(256)).stages(), 4u);
+}
+
+// The per-stage digit loop wire_at used to run: digit i (most significant
+// first) comes from dst for i <= stage and from src after it.
+std::uint32_t wire_by_digits(std::uint32_t stages, std::uint32_t stage,
+                             std::uint32_t src, std::uint32_t dst) {
+  std::uint32_t pos = 0;
+  for (std::uint32_t i = 0; i < stages; ++i) {
+    const std::uint32_t shift = 2 * (stages - 1 - i);
+    const std::uint32_t digit = ((i <= stage ? dst : src) >> shift) & 3u;
+    pos |= digit << shift;
+  }
+  return pos;
+}
+
+TEST(Switch, ClosedFormWireMatchesDigitLoop) {
+  for (std::uint32_t nodes : {16u, 128u, 1024u, 4096u}) {
+    SwitchFabric f(butterfly1(nodes));
+    std::uint64_t mismatches = 0;
+    // Every entry row the detour scan can pick, every destination.
+    for (std::uint32_t stage = 0; stage < f.stages(); ++stage)
+      for (std::uint32_t src = 0; src < f.wires(); ++src)
+        for (std::uint32_t dst = 0; dst < nodes; ++dst)
+          mismatches += f.wire_at(stage, src, dst) !=
+                        wire_by_digits(f.stages(), stage, src, dst);
+    EXPECT_EQ(mismatches, 0u) << nodes << " nodes";
+  }
 }
 
 TEST(Switch, LocalRouteIsFree) {
