@@ -20,8 +20,11 @@
 #                        at seed 1; fails unless run.py reports that the
 #                        run's sim_digest matches perfbench/baseline.json,
 #                        so a host-side change cannot alter simulated output
-#   4. scope smoke     — a traced Gauss run exports a Chrome trace, then
-#                        the standalone validator re-checks the file on
+#   4. scope smoke     — one Gauss run with the Tracer, the race detector
+#                        and the wait-graph Detector attached together;
+#                        fails on any race, lock-order cycle or stuck
+#                        fiber, exports a Chrome trace, then the
+#                        standalone validator re-checks the file on
 #                        disk (parses, monotone timestamps, balanced B/E)
 #   5. perf smoke      — the host-simulator microbenchmarks at a tiny
 #                        min-time, printing the BENCH_host_sim.json row.
@@ -77,7 +80,7 @@ for workload in gauss_fig5 serve_open_loop serve_faults sync_1k; do
   grep "sim_digest" "$log"
 done
 
-step "scope smoke (traced Gauss -> Chrome trace -> validator)"
+step "scope smoke (Gauss with all three tools -> Chrome trace -> validator)"
 ./build/tools/trace_gauss build/scope_ci_trace.json build/scope_ci_metrics.json
 ./build/tools/trace_validate build/scope_ci_trace.json
 

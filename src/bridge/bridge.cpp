@@ -47,7 +47,7 @@ BridgeFs::BridgeFs(chrys::Kernel& k, std::uint32_t servers, DiskParams disk,
 
 BridgeFs::~BridgeFs() {
   persist();
-  if (crash_observer_ != 0) m_.remove_crash_observer(crash_observer_);
+  m_.remove_observer(crash_observer_);
 }
 
 void BridgeFs::persist() {

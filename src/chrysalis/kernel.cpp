@@ -25,7 +25,7 @@ Kernel::Kernel(sim::Machine& m)
       m_.on_node_death([this](sim::NodeId n) { handle_node_death(n); });
 }
 
-Kernel::~Kernel() { m_.remove_death_observer(death_observer_); }
+Kernel::~Kernel() { m_.remove_observer(death_observer_); }
 
 void Kernel::charge_if_on_fiber(sim::Time ns) {
   if (sim::Fiber::current() != nullptr) m_.charge(ns);

@@ -24,12 +24,10 @@ const char* to_string(StuckKind k) {
 
 Detector::Detector(sim::Machine& m, chrys::Kernel* kernel)
     : m_(m), kernel_(kernel) {
-  m_.set_wait_observer(this);
+  m_.attach(this);
 }
 
-Detector::~Detector() {
-  if (m_.wait_observer() == this) m_.set_wait_observer(nullptr);
-}
+Detector::~Detector() { m_.detach(this); }
 
 void Detector::on_block(sim::Fiber* f, std::uint64_t chan,
                         sim::WaitKind kind) {

@@ -183,7 +183,7 @@ Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
 }
 
 Mesh::~Mesh() {
-  if (crash_observer_ != 0) m_.remove_crash_observer(crash_observer_);
+  m_.remove_observer(crash_observer_);
 }
 
 void Mesh::with_retry(const std::function<void()>& op) {

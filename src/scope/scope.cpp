@@ -10,12 +10,10 @@ Tracer::Tracer(sim::Machine& m, ScopeOptions opt)
       next_tid_(m.nodes() + 1, 1),  // last slot: host context
       series_(m.nodes()) {
   if (opt_.bin_ns == 0) opt_.bin_ns = sim::kMillisecond;
-  m_.set_trace_sink(this);
+  m_.attach(this);
 }
 
-Tracer::~Tracer() {
-  if (m_.trace_sink() == this) m_.set_trace_sink(nullptr);
-}
+Tracer::~Tracer() { m_.detach(this); }
 
 std::uint32_t Tracer::track_for(sim::Fiber* f, sim::NodeId node) {
   auto it = track_ix_.find(f);

@@ -51,9 +51,9 @@ ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
 }
 
 ReplicatedFs::~ReplicatedFs() {
-  if (crash_observer_ != 0) m_.remove_crash_observer(crash_observer_);
+  m_.remove_observer(crash_observer_);
   if (mem_ != nullptr && mem_sub_ != 0) mem_->unsubscribe(mem_sub_);
-  if (heal_observer_ != 0) m_.remove_heal_observer(heal_observer_);
+  m_.remove_observer(heal_observer_);
 }
 
 std::uint64_t ReplicatedFs::mix(std::uint64_t f, std::uint64_t b) {

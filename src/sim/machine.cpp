@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <exception>
 
 namespace bfly::sim {
@@ -17,11 +16,6 @@ Machine::Machine(MachineConfig cfg, FaultPlan faults)
       node_(cfg.nodes),
       node_dead_(cfg.nodes, 0) {
   engine_.set_fiber_handler(&Machine::fiber_event, this);
-  fastpath_ = cfg_.host_fastpath;
-  if (const char* v = std::getenv("BFLY_NO_FASTPATH");
-      v != nullptr && v[0] != '\0' && v[0] != '0') {
-    fastpath_ = false;
-  }
   combining_ = fabric_.combining();
   if (combining_) fabric_.set_stats(&stats_);
   if (faults_.any()) {
@@ -101,10 +95,8 @@ Fiber* Machine::spawn_parked(NodeId node, std::function<void()> body,
   assert(ok);
   (void)ok;
   live_link(&it->second);
-  if (observer_) {
-    HookScope h(this);
-    observer_->on_spawn(Fiber::current(), f);
-  }
+  publish([](Probe& p, auto... x) { p.on_spawn(Fiber::current(), x...); },
+          f);
   return f;
 }
 
@@ -124,6 +116,18 @@ NodeId Machine::node_of(Fiber* f) const {
   auto it = fibers_.find(f);
   if (it == fibers_.end()) throw SimError("node_of: unknown fiber");
   return it->second.node;
+}
+
+void Machine::detach(Probe* p) {
+  auto it = std::find(probes_.begin(), probes_.end(), p);
+  if (it == probes_.end()) return;
+  // Mid-dispatch, erasing would shift a probe past the loop's index: leave
+  // a null slot for publish_all() to compact.
+  if (hook_depth_ != 0) {
+    *it = nullptr;
+  } else {
+    probes_.erase(it);
+  }
 }
 
 NodeId Machine::trace_node() const {
@@ -244,25 +248,24 @@ void Machine::charge(Time ns) {
   // control straight back — the engine would pop our fresh resume event
   // first (strictly earlier beats every pending time; a tie would lose on
   // sequence number, hence "strictly") and no other fiber, fault, or
-  // observer-visible action can run in between.  So warp the clock and keep
+  // probe-visible action can run in between.  So warp the clock and keep
   // going: no heap traffic, no context switch.  Disabled whenever anything
   // could legitimately interleave or watch: pending kills/faults
-  // (fault_checks_), a requested engine stop, or attached instrumentation
-  // (observers/trace sinks deliberately ride the battle-tested slow path;
-  // the uncharged harnesses then cross-check the two).  The skipped
-  // post_fiber_at also never burns an engine sequence number, which is
-  // unobservable: relative order among the *other* events is unchanged.
-  if (fastpath_ && !fault_checks_ && observer_ == nullptr &&
-      trace_ == nullptr && wait_observer_ == nullptr &&
+  // (fault_checks_), a requested engine stop, or attached probes (probed
+  // runs deliberately ride the battle-tested slow path; the uncharged
+  // harnesses then cross-check the two).  The skipped post_fiber_at also
+  // never burns an engine sequence number, which is unobservable: relative
+  // order among the *other* events is unchanged.
+  if (cfg_.host_fastpath && !fault_checks_ && probes_.empty() &&
       !engine_.stop_requested() &&
       (engine_.empty() || at < engine_.next_time())) {
     engine_.warp_to(at);
     ++fastpath_charges_;
     return;
   }
-  // A charge from inside an observer hook breaks the uncharged contract
-  // (hooks run only when an observer is attached, which forfeits the fast
-  // path above — so this check is complete here).
+  // A charge from inside a probe hook breaks the uncharged contract (hooks
+  // run only when a probe is attached, which forfeits the fast path above —
+  // so this check is complete here).
   if (hook_depth_ != 0) ++hook_charges_;
   assert(!c->resume_pending);
   c->resume_pending = true;
@@ -318,24 +321,23 @@ void Machine::kill_node(NodeId node, Time at, bool silent) {
 
 std::uint64_t Machine::on_node_death(std::function<void(NodeId)> fn) {
   const std::uint64_t id = next_observer_id_++;
-  death_observers_.push_back(DeathObserver{id, std::move(fn)});
+  death_observers_.push_back({id, std::move(fn)});
   return id;
-}
-
-void Machine::remove_death_observer(std::uint64_t id) {
-  std::erase_if(death_observers_,
-                [id](const DeathObserver& o) { return o.id == id; });
 }
 
 std::uint64_t Machine::on_node_crash(std::function<void(NodeId)> fn) {
   const std::uint64_t id = next_observer_id_++;
-  crash_observers_.push_back(DeathObserver{id, std::move(fn)});
+  crash_observers_.push_back({id, std::move(fn)});
   return id;
 }
 
-void Machine::remove_crash_observer(std::uint64_t id) {
-  std::erase_if(crash_observers_,
-                [id](const DeathObserver& o) { return o.id == id; });
+void Machine::remove_observer(std::uint64_t id) {
+  const auto drop = [id](auto& list) {
+    std::erase_if(list, [id](const auto& s) { return s.id == id; });
+  };
+  drop(death_observers_);
+  drop(crash_observers_);
+  drop(heal_observers_);
 }
 
 void Machine::do_kill(NodeId n, bool silent) {
@@ -410,7 +412,7 @@ void Machine::check_reach(NodeId req, NodeId home) {
 
 std::uint64_t Machine::on_partition_heal(std::function<void(std::size_t)> fn) {
   const std::uint64_t id = next_observer_id_++;
-  heal_observers_.push_back(HealObserver{id, std::move(fn)});
+  heal_observers_.push_back({id, std::move(fn)});
   // Heal events are posted lazily on first subscription: a plan whose heal
   // lies past the workload's natural end would otherwise keep every
   // unobserved run alive until the cut closed.
@@ -421,11 +423,6 @@ std::uint64_t Machine::on_partition_heal(std::function<void(std::size_t)> fn) {
         engine_.post_at(cuts_[i].heal, [this, i] { fire_heal(i); });
   }
   return id;
-}
-
-void Machine::remove_heal_observer(std::uint64_t id) {
-  std::erase_if(heal_observers_,
-                [id](const HealObserver& o) { return o.id == id; });
 }
 
 void Machine::fire_heal(std::size_t idx) {
@@ -515,10 +512,7 @@ PhysAddr Machine::alloc(NodeId node, std::size_t bytes, std::size_t align) {
 
 void Machine::free(PhysAddr addr, std::size_t bytes) {
   if (addr.node >= cfg_.nodes) return;
-  if (observer_) {
-    HookScope h(this);
-    observer_->on_free(addr, bytes);
-  }
+  publish([](Probe& p, auto... x) { p.on_free(x...); }, addr, bytes);
   const auto size = static_cast<std::uint32_t>((bytes + 7) & ~std::size_t{7});
   Node& nd = node_[addr.node];
   nd.allocated -= std::min<std::size_t>(nd.allocated, size);

@@ -89,7 +89,7 @@ class Machine {
   /// edges recorded by the synchronization layers.
   bool deadlocked() const { return live_count_ != 0; }
   std::vector<Fiber*> blocked_fibers() const;
-  /// True while `f` has not finished or been reclaimed.  Wait observers
+  /// True while `f` has not finished or been reclaimed.  Probes
   /// hold raw Fiber pointers across kill-unwinds (which skip the wake
   /// hooks); this lets them prune the dead before dereferencing.  A reused
   /// address can alias a new fiber — fine for diagnosis, as the new
@@ -112,11 +112,11 @@ class Machine {
   /// handoffs, switch-free charges).  Observational; see sim/stats.hpp.
   HostPerf host_perf() const {
     return HostPerf{engine_.events_dispatched(), fiber_resumes_, handoffs_,
-                    fastpath_charges_, fastpath_};
+                    fastpath_charges_, cfg_.host_fastpath};
   }
   /// True when charge() may take the switch-free fast path this run
-  /// (config flag minus the BFLY_NO_FASTPATH environment override).
-  bool fastpath_enabled() const { return fastpath_; }
+  /// (MachineConfig::host_fastpath).
+  bool fastpath_enabled() const { return cfg_.host_fastpath; }
 
   // Constants kept only because perfbench's parsim.* rows read them; the
   // parallel host engine was removed (DESIGN.md §4f).
@@ -147,9 +147,8 @@ class Machine {
   /// heals (argument: index into faults().partitions).  Registering posts
   /// the plan's heal events, which keeps the engine running until the last
   /// subscribed heal — layers that reconcile on heal (bfly::serve) want
-  /// exactly that.  Returns a handle for remove_heal_observer.
+  /// exactly that.  Returns a handle for remove_observer.
   std::uint64_t on_partition_heal(std::function<void(std::size_t)> fn);
-  void remove_heal_observer(std::uint64_t id);
 
   /// Gray-failure stretch for `n`'s memory module at the current simulated
   /// time: 1.0 when healthy, the plan's factor inside a slow window.  Layers
@@ -168,14 +167,13 @@ class Machine {
   /// before the node's fibers unwind.  Observers run in registration order
   /// (the Kernel registers first, so higher layers see consistent kernel
   /// state).  They must not perform timed operations.  Returns a handle for
-  /// remove_death_observer; holders that can die before the Machine must
+  /// remove_observer; holders that can die before the Machine must
   /// unregister in their destructor.
   ///
   /// Death observers model the simulator's own bookkeeping: they fire for
   /// every kill, silent or not (the scheduler must stop dispatching a dead
   /// node's processes regardless of who heard the crash).
   std::uint64_t on_node_death(std::function<void(NodeId)> fn);
-  void remove_death_observer(std::uint64_t id);
 
   /// Like on_node_death, but models the machine-check broadcast peers
   /// observe: crash observers do NOT fire for silent kills.  Recovery
@@ -184,7 +182,9 @@ class Machine {
   /// reference that touches the corpse.  Crash observers run after every
   /// death observer, still before the node's fibers unwind.
   std::uint64_t on_node_crash(std::function<void(NodeId)> fn);
-  void remove_crash_observer(std::uint64_t id);
+
+  /// Drop the death, crash or heal subscription `id` (no-op when unknown).
+  void remove_observer(std::uint64_t id);
 
   // --- Time ------------------------------------------------------------------
 
@@ -268,127 +268,93 @@ class Machine {
   /// (used by tight inner loops; contention is accounted in aggregate).
   void access_words(PhysAddr a, std::uint32_t n, bool write = false);
 
-  // --- Observation (correctness tooling; see sim/observe.hpp) -----------------
-  // All hooks are host-side and uncharged: attaching an observer leaves the
-  // simulated event stream byte-identical to a bare run.
+  // --- Probes (correctness tooling and tracing; see sim/observe.hpp) --------
+  // All hooks are host-side and uncharged: attaching probes leaves the
+  // simulated event stream byte-identical to a bare run.  Annotation sites
+  // pass string literals and integers only, so an unprobed run does no work
+  // beyond one empty-list test and allocates nothing.
 
-  void set_observer(MemObserver* o) { observer_ = o; }
-  MemObserver* observer() const { return observer_; }
+  /// Subscribe `p` to every hook, after the probes already attached.  A
+  /// probe attached from inside a hook starts with the next hook.
+  void attach(Probe* p) { probes_.push_back(p); }
+  /// Unsubscribe `p` (no-op when not attached).  Safe from inside a hook,
+  /// including `p`'s own: the remaining probes keep receiving.
+  void detach(Probe* p);
+
+  // Kept only because perfbench's LayerSink reads them: one probe slot
+  // managed through attach()/detach().
+  void set_trace_sink(TraceSink* s) {
+    if (trace_sink_ != nullptr) detach(trace_sink_);
+    trace_sink_ = s;
+    if (s != nullptr) attach(s);
+  }
+  TraceSink* trace_sink() const { return trace_sink_; }
 
   /// Publish a happens-before release/acquire edge on `chan` for the
-  /// calling context.  No-ops without an observer; synchronization layers
-  /// call these from the fiber performing the operation.
+  /// calling context.  Synchronization layers call these from the fiber
+  /// performing the operation.
   void observe_release(std::uint64_t chan) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_release(Fiber::current(), chan);
-    }
+    publish([](Probe& p, auto... x) { p.on_release(Fiber::current(), x...); },
+            chan);
   }
   void observe_acquire(std::uint64_t chan) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_acquire(Fiber::current(), chan);
-    }
+    publish([](Probe& p, auto... x) { p.on_acquire(Fiber::current(), x...); },
+            chan);
   }
-  /// Lock-order events for acquisition-graph lints.
-  void observe_lock_acquire(std::uint64_t lock) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_lock_acquire(Fiber::current(), lock);
-    }
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_hold(Fiber::current(), lock, true);
-    }
-  }
-  void observe_lock_release(std::uint64_t lock) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_lock_release(Fiber::current(), lock);
-    }
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_hold(Fiber::current(), lock, false);
-    }
+  /// The calling fiber acquired (`held`) or released spin lock `lock`.
+  void observe_hold(std::uint64_t lock, bool held) {
+    publish([](Probe& p, auto... x) { p.on_hold(Fiber::current(), x...); },
+            lock, held);
   }
   /// Name a range of physical memory for diagnostic reports.
   void label_memory(PhysAddr a, std::size_t bytes, std::string name) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_label(a, bytes, std::move(name));
-    }
+    publish([](Probe& p, auto... x) { p.on_label(x...); }, a, bytes,
+            std::move(name));
   }
-
-  // --- Wait observation (deadlock analysis; see sim/observe.hpp and
-  // src/moviola).  Same uncharged contract as the hooks above. ---------------
-
-  void set_wait_observer(WaitObserver* o) { wait_observer_ = o; }
-  WaitObserver* wait_observer() const { return wait_observer_; }
-
   /// The calling fiber is about to block on `chan`.
   void observe_block(std::uint64_t chan, WaitKind kind) {
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_block(Fiber::current(), chan, kind);
-    }
+    publish([](Probe& p, auto... x) { p.on_block(Fiber::current(), x...); },
+            chan, kind);
   }
   /// The calling fiber returned from a blocking wait on `chan`.
   void observe_wake(std::uint64_t chan, WakeReason why) {
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_wake(Fiber::current(), chan, why);
-    }
+    publish([](Probe& p, auto... x) { p.on_wake(Fiber::current(), x...); },
+            chan, why);
   }
   /// A post to `chan` with the given delivery outcome.
   void observe_post(std::uint64_t chan, PostOutcome out) {
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_post(Fiber::current(), chan, out);
-    }
+    publish([](Probe& p, auto... x) { p.on_post(Fiber::current(), x...); },
+            chan, out);
   }
   /// One failed spin probe on `lock` by the calling fiber.
   void observe_spin(std::uint64_t lock) {
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_spin(Fiber::current(), lock);
-    }
+    publish([](Probe& p, auto... x) { p.on_spin(Fiber::current(), x...); },
+            lock);
   }
-
-  /// Charges issued from inside an observer hook.  The hooks' contract is
-  /// strictly host-side work; a nonzero count means an observer perturbed
-  /// the run it was watching (the blocking-discipline lint reports it).
-  std::uint64_t hook_charges() const { return hook_charges_; }
-
-  // --- Tracing (observability; see sim/observe.hpp and src/scope) -------------
-  // Same uncharged contract as the observer hooks.  Annotation sites pass
-  // string literals and integers only, so an untraced run does no work
-  // beyond the pointer test and allocates nothing.
-
-  void set_trace_sink(TraceSink* s) { trace_ = s; }
-  TraceSink* trace_sink() const { return trace_; }
-
   /// Open a span on the calling context's track.
   void trace_begin(const char* cat, const char* name, std::uint64_t arg = 0) {
-    if (trace_) {
-      HookScope h(this);
-      trace_->on_span_begin(Fiber::current(), trace_node(), cat, name, arg);
-    }
+    publish([this](Probe& p, auto... x) {
+      p.on_span_begin(Fiber::current(), trace_node(), x...);
+    }, cat, name, arg);
   }
   /// Close the innermost open span on the calling context's track.
   void trace_end() {
-    if (trace_) {
-      HookScope h(this);
-      trace_->on_span_end(Fiber::current(), trace_node());
-    }
+    publish([this](Probe& p) {
+      p.on_span_end(Fiber::current(), trace_node());
+    });
   }
   /// A point event on the calling context's track.
   void trace_instant(const char* cat, const char* name,
                      std::uint64_t arg = 0) {
-    if (trace_) {
-      HookScope h(this);
-      trace_->on_instant(Fiber::current(), trace_node(), cat, name, arg);
-    }
+    publish([this](Probe& p, auto... x) {
+      p.on_instant(Fiber::current(), trace_node(), x...);
+    }, cat, name, arg);
   }
+
+  /// Charges issued from inside a probe hook.  The hooks' contract is
+  /// strictly host-side work; a nonzero count means a probe perturbed the
+  /// run it was watching (the blocking-discipline lint reports it).
+  std::uint64_t hook_charges() const { return hook_charges_; }
 
   // --- Untimed backdoor (tests, tooling, result extraction) -------------------
   template <typename T>
@@ -409,7 +375,7 @@ class Machine {
   }
 
  private:
-  /// RAII marker bracketing every observer-hook invocation: charge() counts
+  /// RAII marker bracketing every probe-hook dispatch: charge() counts
   /// charges issued while one is live (hook_charges_), turning "charged
   /// work inside an uncharged hook" from a silent heisenbug into a lint.
   class HookScope {
@@ -422,6 +388,28 @@ class Machine {
    private:
     Machine* m_;
   };
+
+  /// The one dispatch path: `hook(probe, args...)` for every attached
+  /// probe, in attach order.  An unprobed run pays the inline empty test
+  /// only: arguments travel by value and the hook computes the calling
+  /// context (Fiber::current(), trace_node()) itself, so nothing is
+  /// evaluated or stored before the test.
+  template <typename Hook, typename... A>
+  void publish(Hook hook, A... args) {
+    if (!probes_.empty()) [[unlikely]] publish_all(hook, args...);
+  }
+  template <typename Hook, typename... A>
+  [[gnu::noinline]] void publish_all(Hook hook, A... args) {
+    {
+      HookScope h(this);
+      // Probes attached by a hook join at the next dispatch; ones detached
+      // by a hook leave a null slot until the outermost dispatch ends.
+      const std::size_t n = probes_.size();
+      for (std::size_t i = 0; i < n; ++i)
+        if (Probe* p = probes_[i]) hook(*p, args...);
+    }
+    if (hook_depth_ == 0) std::erase(probes_, nullptr);
+  }
 
   struct FiberCtl {
     std::unique_ptr<Fiber> fiber;
@@ -452,13 +440,11 @@ class Machine {
 
   /// Perform + charge one reference of `words` words to a.node.
   void reference(PhysAddr a, std::uint32_t words, MemOp op);
-  /// Report one reference to the registered observer (uncharged).
+  /// Report one reference before it is issued (uncharged).
   void observe_access(PhysAddr a, std::uint32_t words, MemOp op,
                       NodeId requester) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_access(Fiber::current(), requester, a, words, op);
-    }
+    publish([](Probe& p, auto... x) { p.on_access(Fiber::current(), x...); },
+            requester, a, words, op);
   }
   /// Compute completion time of a reference departing now; updates module
   /// occupancy and stats but does not charge.
@@ -468,15 +454,12 @@ class Machine {
   void combining_fetch_add_reference(PhysAddr a);
   Time reference_finish(NodeId requester, NodeId home, std::uint32_t words,
                         Time* queue_ns);
-  /// Report one finished reference with its contention share to the trace
-  /// sink (uncharged; MemObserver::on_access cannot see queue time).
+  /// Report one finished reference with its contention share (uncharged;
+  /// on_access cannot see queue time).
   void trace_reference(NodeId requester, NodeId home, std::uint32_t words,
                        Time queue_ns, MemOp op) {
-    if (trace_) {
-      HookScope h(this);
-      trace_->on_reference(requester, home, words, queue_ns, op,
-                           engine_.now());
-    }
+    publish([](Probe& p, auto... x) { p.on_reference(x...); }, requester,
+            home, words, queue_ns, op, engine_.now());
   }
   /// Node of the calling context for trace events (kTraceHostNode when no
   /// fiber is running).
@@ -554,7 +537,6 @@ class Machine {
   std::size_t live_count_ = 0;
   FiberCtl* cur_ctl_ = nullptr;  // control block of the running fiber
 
-  bool fastpath_ = true;  // cfg.host_fastpath minus BFLY_NO_FASTPATH
   std::uint64_t fiber_resumes_ = 0;
   std::uint64_t handoffs_ = 0;
   std::uint64_t fastpath_charges_ = 0;
@@ -573,22 +555,20 @@ class Machine {
   };
   std::vector<Cut> cuts_;
   bool has_cuts_ = false;
-  struct HealObserver {
+  // Death, crash and heal subscriptions: one id space, fired by index in
+  // registration order.
+  template <typename Arg>
+  struct Subscription {
     std::uint64_t id;
-    std::function<void(std::size_t)> fn;
+    std::function<void(Arg)> fn;
   };
-  std::vector<HealObserver> heal_observers_;
+  std::vector<Subscription<NodeId>> death_observers_;
+  std::vector<Subscription<NodeId>> crash_observers_;
+  std::vector<Subscription<std::size_t>> heal_observers_;
   bool heal_events_posted_ = false;
-  struct DeathObserver {
-    std::uint64_t id;
-    std::function<void(NodeId)> fn;
-  };
-  std::vector<DeathObserver> death_observers_;
-  std::vector<DeathObserver> crash_observers_;
   std::uint64_t next_observer_id_ = 1;
-  MemObserver* observer_ = nullptr;
-  TraceSink* trace_ = nullptr;
-  WaitObserver* wait_observer_ = nullptr;
+  std::vector<Probe*> probes_;       // attach order; null = detached in hook
+  TraceSink* trace_sink_ = nullptr;  // the set_trace_sink() slot
   int hook_depth_ = 0;               // live HookScopes on this host stack
   std::uint64_t hook_charges_ = 0;   // charges issued from inside a hook
 };

@@ -41,7 +41,7 @@ UniformSystem::UniformSystem(chrys::Kernel& k, UsConfig cfg)
 }
 
 UniformSystem::~UniformSystem() {
-  if (crash_observer_ != 0) m_.remove_crash_observer(crash_observer_);
+  m_.remove_observer(crash_observer_);
 }
 
 sim::Time UniformSystem::run_main(std::function<void()> main) {

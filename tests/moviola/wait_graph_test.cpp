@@ -241,25 +241,15 @@ TEST(Starvation, SpinnerUnderHeldLockNamesSpinnerAndHolder) {
 
 // --- Lints: charged work inside an uncharged hook ----------------------------
 
-class ChargingObserver final : public sim::MemObserver {
+class ChargingObserver final : public sim::Probe {
  public:
-  explicit ChargingObserver(Machine& m) : m_(m) { m_.set_observer(this); }
-  ~ChargingObserver() override {
-    if (m_.observer() == this) m_.set_observer(nullptr);
-  }
-  void on_access(sim::Fiber*, sim::NodeId, sim::PhysAddr, std::uint32_t,
-                 sim::MemOp) override {}
-  void on_spawn(sim::Fiber*, sim::Fiber*) override {}
-  void on_free(sim::PhysAddr, std::size_t) override {}
+  explicit ChargingObserver(Machine& m) : m_(m) { m_.attach(this); }
+  ~ChargingObserver() override { m_.detach(this); }
   void on_release(sim::Fiber* f, std::uint64_t) override {
     // Violates the hooks' host-side contract: charges simulated time from
-    // inside an observer callback.
+    // inside a probe callback.
     if (f != nullptr) m_.charge(100);
   }
-  void on_acquire(sim::Fiber*, std::uint64_t) override {}
-  void on_lock_acquire(sim::Fiber*, std::uint64_t) override {}
-  void on_lock_release(sim::Fiber*, std::uint64_t) override {}
-  void on_label(sim::PhysAddr, std::size_t, std::string) override {}
 
  private:
   Machine& m_;

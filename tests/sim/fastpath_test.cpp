@@ -3,7 +3,6 @@
 // Instant Replay log equality — lives in tests/integration.)
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -44,23 +43,6 @@ TEST(Fastpath, DisabledByConfigTakesSlowPath) {
   EXPECT_FALSE(hp.fastpath_enabled);
   EXPECT_EQ(hp.fastpath_charges, 0u);
   EXPECT_EQ(hp.fiber_resumes, 101u);  // spawn + one per charge
-}
-
-TEST(Fastpath, EnvVarForcesOff) {
-  ASSERT_EQ(setenv("BFLY_NO_FASTPATH", "1", 1), 0);
-  Machine m(cfg_fast(4, true));
-  unsetenv("BFLY_NO_FASTPATH");
-  EXPECT_FALSE(m.fastpath_enabled());
-  m.spawn(0, [&] { m.charge(10); });
-  m.run();
-  EXPECT_EQ(m.host_perf().fastpath_charges, 0u);
-}
-
-TEST(Fastpath, EnvVarZeroMeansOn) {
-  ASSERT_EQ(setenv("BFLY_NO_FASTPATH", "0", 1), 0);
-  Machine m(cfg_fast(4, true));
-  unsetenv("BFLY_NO_FASTPATH");
-  EXPECT_TRUE(m.fastpath_enabled());
 }
 
 TEST(Fastpath, StrictlyEarlierRequired_TiedEventRunsFirst) {
@@ -111,19 +93,9 @@ TEST(Fastpath, StopRequestForcesSlowPath) {
 }
 
 TEST(Fastpath, ObserverAttachDisablesFastPath) {
-  struct NullObserver : MemObserver {
-    void on_access(Fiber*, NodeId, PhysAddr, std::uint32_t, MemOp) override {}
-    void on_spawn(Fiber*, Fiber*) override {}
-    void on_free(PhysAddr, std::size_t) override {}
-    void on_release(Fiber*, std::uint64_t) override {}
-    void on_acquire(Fiber*, std::uint64_t) override {}
-    void on_lock_acquire(Fiber*, std::uint64_t) override {}
-    void on_lock_release(Fiber*, std::uint64_t) override {}
-    void on_label(PhysAddr, std::size_t, std::string) override {}
-  };
   Machine m(cfg_fast(4, true));
-  NullObserver obs;
-  m.set_observer(&obs);
+  Probe obs;
+  m.attach(&obs);
   m.spawn(0, [&] { m.charge(10); });
   m.run();
   EXPECT_EQ(m.host_perf().fastpath_charges, 0u);

@@ -216,7 +216,7 @@ TEST(FaultPlan, SilentKillSkipsCrashObserversButNotDeathObservers) {
   EXPECT_EQ(crashes, (std::vector<NodeId>{2}));
   EXPECT_FALSE(m.node_alive(1));
   EXPECT_FALSE(m.node_alive(2));
-  m.remove_crash_observer(cid);
+  m.remove_observer(cid);
 }
 
 TEST(FaultPlan, SilentKillStillUnwindsFibers) {
@@ -268,7 +268,7 @@ TEST(FaultPlan, DeathObserversFireOnceInOrder) {
   EXPECT_EQ(calls[1], (std::pair<int, NodeId>{2, 0}));
   EXPECT_EQ(calls[2], (std::pair<int, NodeId>{1, 3}));
   EXPECT_EQ(calls[3], (std::pair<int, NodeId>{2, 3}));
-  m.remove_death_observer(id1);
+  m.remove_observer(id1);
 }
 
 TEST(FaultPlan, BadKillTargetIsRejected) {
@@ -489,7 +489,7 @@ TEST(FaultPlan, HealObserversFireAtTheHealInstant) {
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].first, 0u);
   EXPECT_EQ(fired[0].second, 8 * kMillisecond);
-  m.remove_heal_observer(id);
+  m.remove_observer(id);
 }
 
 TEST(FaultPlan, PartitionedRunIsDeterministic) {

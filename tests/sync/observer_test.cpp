@@ -1,5 +1,5 @@
 // Observer-facing contract of the scalable primitives: attaching the
-// moviola wait-graph Detector (and, when built, the analyze race detector)
+// moviola wait-graph Detector and the analyze race detector together
 // to an MCS + tree-barrier workload leaves the run event-identical through
 // Instant Replay, publishes the happens-before edges that keep the race
 // detector quiet, feeds the lock-order lint, and never manufactures a
@@ -9,15 +9,12 @@
 #include <memory>
 #include <vector>
 
+#include "analyze/analyze.hpp"
 #include "chrysalis/kernel.hpp"
 #include "moviola/wait_graph.hpp"
 #include "replay/instant_replay.hpp"
 #include "sync/barrier.hpp"
 #include "sync/mcs.hpp"
-
-#ifdef BFLY_HAVE_ANALYZE
-#include "analyze/analyze.hpp"
-#endif
 
 namespace bfly::sync {
 namespace {
@@ -43,10 +40,8 @@ SyncRun run_sync_workload(bool instrumented) {
   Machine m(butterfly1(8));
   chrys::Kernel k(m);
   std::unique_ptr<moviola::Detector> det;
-#ifdef BFLY_HAVE_ANALYZE
   std::unique_ptr<analyze::Analyzer> ana;
   if (instrumented) ana = std::make_unique<analyze::Analyzer>(m);
-#endif
   if (instrumented) det = std::make_unique<moviola::Detector>(m, &k);
 
   const std::uint32_t actors = 4;
@@ -78,12 +73,10 @@ SyncRun run_sync_workload(bool instrumented) {
     EXPECT_TRUE(det->analyze().empty()) << det->report();
     EXPECT_TRUE(det->lints().empty());
   }
-#ifdef BFLY_HAVE_ANALYZE
   if (ana) {
     EXPECT_EQ(ana->races_total(), 0u) << ana->report();
     EXPECT_TRUE(ana->lock_cycles().empty());
   }
-#endif
   return out;
 }
 
@@ -175,8 +168,6 @@ TEST(SyncObservers, WedgedMcsWaiterIsNamedAsStarved) {
   EXPECT_TRUE(starved_spinner) << det.report();
 }
 
-#ifdef BFLY_HAVE_ANALYZE
-
 TEST(SyncObservers, BarrierEdgesOrderCrossPhaseAccesses) {
   // Worker 0 writes the word before the barrier; worker 1 reads it after.
   // Without the release/acquire edges arrive() publishes, this is a
@@ -229,8 +220,6 @@ TEST(SyncObservers, LockOrderLintNamesMcsCycles) {
       if (n.find("sync.mcs.tail") != std::string::npos) named = true;
   EXPECT_TRUE(named) << ana.report();
 }
-
-#endif  // BFLY_HAVE_ANALYZE
 
 }  // namespace
 }  // namespace bfly::sync

@@ -1,16 +1,21 @@
 // trace_gauss [trace.json] [metrics.json] — the traced Gauss smoke.
 //
 // Runs the FIG5 Gaussian elimination (Uniform System version) on an 8-node
-// Butterfly-I with a scope::Tracer attached, writes the Chrome trace (open
-// it in Perfetto / chrome://tracing) and the bench-style metrics JSON, and
-// prints the critical-path / Amdahl report.  Self-validates the exported
-// trace before exiting, so ci/check.sh can gate on the exit status alone.
+// Butterfly-I with all three tools attached to the one run — a
+// scope::Tracer, the analyze race detector and the moviola wait-graph
+// Detector — writes the Chrome trace (open it in Perfetto /
+// chrome://tracing) and the bench-style metrics JSON, and prints the
+// critical-path / Amdahl report.  Self-validates the exported trace and
+// fails on any race, lock-order cycle or stuck fiber, so ci/check.sh can
+// gate on the exit status alone.
 
 #include <cstdio>
 #include <fstream>
 #include <string>
 
+#include "analyze/analyze.hpp"
 #include "apps/gauss.hpp"
+#include "moviola/wait_graph.hpp"
 #include "scope/scope.hpp"
 #include "scope/trace_check.hpp"
 #include "sim/machine.hpp"
@@ -40,6 +45,8 @@ int main(int argc, char** argv) {
 
   sim::Machine m(sim::butterfly1(8));
   scope::Tracer tracer(m);
+  analyze::Analyzer analyzer(m);
+  moviola::Detector detector(m);
   const apps::GaussResult r = apps::gauss_us(m, cfg);
   const double err = apps::gauss_error(r, cfg.n, cfg.seed);
   std::printf("gauss US: N=%u on 8 nodes, elapsed %s, max err %.3e\n\n",
@@ -74,6 +81,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "trace_gauss: implausible critical-path report\n");
     return 1;
   }
-  std::printf("self-check: %zu events validate clean\n", stats.events);
+  const std::size_t cycles = analyzer.lock_cycles().size();
+  const std::size_t stuck = detector.analyze().size();
+  if (analyzer.races_total() != 0 || cycles != 0 || stuck != 0) {
+    std::fprintf(stderr, "%s\n%s\n", analyzer.report().c_str(),
+                 detector.report().c_str());
+    std::fprintf(stderr, "trace_gauss: %llu races, %zu lock cycles, %zu "
+                 "stuck reports\n",
+                 static_cast<unsigned long long>(analyzer.races_total()),
+                 cycles, stuck);
+    return 1;
+  }
+  std::printf("self-check: %zu events validate clean; no races, lock "
+              "cycles or stuck fibers\n", stats.events);
   return 0;
 }
