@@ -4,6 +4,9 @@
 # Exits nonzero on the first failure (set -e), so a red step fails the
 # whole job.  Steps:
 #   1. default preset  — Release build, full ctest suite
+#   1b. unique names   — fails when `ctest -N` lists a test name twice
+#                        (two binaries registering the same gtest name
+#                        make a by-name failure ambiguous)
 #   2. fault smoke     — the fault-injection and recovery benches (fast
 #                        mode, fixed seeds) rerun verbosely so a hang or
 #                        crash in the kill/restart paths is easy to read
@@ -50,6 +53,15 @@ cmake --build --preset default -j "$JOBS"
 
 step "test (default preset)"
 ctest --preset default -j "$JOBS"
+
+step "unique test names (no ctest name registered by two binaries)"
+dups="$(ctest --preset default -N | sed -n 's/^ *Test *#[0-9]*: //p' |
+        sort | uniq -d)"
+if [ -n "$dups" ]; then
+  printf '%s\n' "$dups"
+  echo "unique test names: the names above are registered more than once"
+  exit 1
+fi
 
 step "fault-heavy smoke (tfault + trecovery benches, fast mode)"
 ctest --preset default -L fault-smoke --output-on-failure --verbose

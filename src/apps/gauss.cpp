@@ -24,21 +24,44 @@ void generate_system(std::uint32_t n, std::uint64_t seed,
   }
 }
 
-// Aligned to a cache line so the elimination loop's placement does not
-// depend on how much code the linker puts before this function: on a
-// 4-core x86-64 Xeon host the loop ran ~2.4x slower when it straddled a
-// 64-byte line.
-[[gnu::aligned(64)]] std::vector<double> gauss_reference(std::uint32_t n,
-                                                         std::uint64_t seed) {
+// Aligned to a cache line so the loop's placement does not depend on how
+// much code the linker puts before this function: on a 4-core x86-64 Xeon
+// host the elimination loop ran ~2.4x slower when it straddled a 64-byte
+// line.  Not inlined, so all three variants share that one placement.
+//
+// The GCC vector type makes the baseline x86-64 -O2 build emit packed
+// mulpd/subpd.  Each lane still does one IEEE multiply and one subtract in
+// the scalar loop's order, so the bits match it (no -ffast-math, and the
+// baseline ISA has no FMA to contract into).
+[[gnu::aligned(64), gnu::noinline]] void row_update(double* row,
+                                                    const double* piv,
+                                                    double f,
+                                                    std::uint32_t from,
+                                                    std::uint32_t to) {
+  using v2d = double __attribute__((vector_size(16)));
+  const v2d fv = {f, f};
+  double* out = row + from;
+  const double* in = piv + from;
+  double* const end = row + to;
+  for (; end - out >= 2; out += 2, in += 2) {
+    v2d r, p;
+    std::memcpy(&r, out, sizeof r);
+    std::memcpy(&p, in, sizeof p);
+    r -= fv * p;
+    std::memcpy(out, &r, sizeof r);
+  }
+  if (out != end) *out -= f * *in;
+}
+
+std::vector<double> gauss_reference(std::uint32_t n, std::uint64_t seed) {
   std::vector<double> a, b;
   generate_system(n, seed, a, b);
   for (std::uint32_t k = 0; k < n; ++k) {
-    const double piv = a[static_cast<std::size_t>(k) * n + k];
+    const double* piv = &a[static_cast<std::size_t>(k) * n];
     for (std::uint32_t i = k + 1; i < n; ++i) {
-      const double f = a[static_cast<std::size_t>(i) * n + k] / piv;
-      for (std::uint32_t j = k; j < n; ++j)
-        a[static_cast<std::size_t>(i) * n + j] -=
-            f * a[static_cast<std::size_t>(k) * n + j];
+      double* row = &a[static_cast<std::size_t>(i) * n];
+      const double f = row[k] / piv[k];
+      row_update(row, piv, f, k, n);
       b[i] -= f * b[k];
     }
   }
@@ -116,7 +139,7 @@ GaussResult gauss_us(sim::Machine& m, const GaussConfig& cfg) {
         for (std::uint32_t r = first + c.arg; r < n; r += chunks) {
           c.us.copy_to_local(local.data(), rows[r], row_bytes);
           const double f = local[kk] / piv[kk];
-          for (std::uint32_t j = kk; j <= n; ++j) local[j] -= f * piv[j];
+          row_update(local.data(), piv.data(), f, kk, n + 1);
           c.m.flops(2 * (n - kk) + 2);
           c.us.copy_from_local(rows[r], local.data(), row_bytes);
         }
@@ -188,18 +211,20 @@ GaussResult gauss_smp(sim::Machine& m, const GaussConfig& cfg) {
           };
           // Broadcasts from different owners can arrive out of order (owner
           // k+1 races owner k's tail sends); stash early arrivals by tag.
+          // In-order messages land in one reused inbox, already sized.
           std::unordered_map<std::uint32_t, smp::Message> stash;
-          auto recv_tag = [&](std::uint32_t want) {
+          smp::Message inbox;
+          auto recv_tag = [&](std::uint32_t want) -> const smp::Message& {
             auto it = stash.find(want);
             if (it != stash.end()) {
-              smp::Message msg = std::move(it->second);
+              inbox = std::move(it->second);
               stash.erase(it);
-              return msg;
+              return inbox;
             }
             while (true) {
-              smp::Message msg = me.receive();
-              if (msg.tag == want) return msg;
-              stash.emplace(msg.tag, std::move(msg));
+              me.receive(&inbox);
+              if (inbox.tag == want) return inbox;
+              stash.emplace(inbox.tag, std::move(inbox));
             }
           };
           for (std::uint32_t kk = 0; kk < n - 1; ++kk) {
@@ -211,16 +236,18 @@ GaussResult gauss_smp(sim::Machine& m, const GaussConfig& cfg) {
                 if (d != w)
                   me.send(d, kk, pivot.data(), (n + 1) * 8);
             } else if (procs > 1) {
-              smp::Message msg = recv_tag(kk);
+              const smp::Message& msg = recv_tag(kk);
               std::memcpy(pivot.data(), msg.payload.data(), (n + 1) * 8);
             }
-            // Update my rows below the pivot.
-            for (std::uint32_t r = kk + 1; r < n; ++r) {
-              if (r % procs != w) continue;
-              std::vector<double>& row = row_of(r);
+            // Update my rows below the pivot: the first one after kk, then
+            // every procs-th (rows_w[i] is row i * procs + w).
+            const std::uint32_t first =
+                kk + 1 + (w + procs - (kk + 1) % procs) % procs;
+            for (std::uint32_t r = first, i = first / procs; r < n;
+                 r += procs, ++i) {
+              std::vector<double>& row = rows_w[i];
               const double f = row[kk] / pivot[kk];
-              for (std::uint32_t j = kk; j <= n; ++j)
-                row[j] -= f * pivot[j];
+              row_update(row.data(), pivot.data(), f, kk, n + 1);
               m.flops(2 * (n - kk) + 2);
             }
           }
@@ -234,7 +261,7 @@ GaussResult gauss_smp(sim::Machine& m, const GaussConfig& cfg) {
               full[r] = row_of(r);
             for (std::uint32_t r = 0; r < n; ++r) {
               if (r % procs == 0) continue;
-              smp::Message msg = recv_tag(0x10000 + r);
+              const smp::Message& msg = recv_tag(0x10000 + r);
               full[r].resize(n + 1);
               std::memcpy(full[r].data(), msg.payload.data(), (n + 1) * 8);
             }

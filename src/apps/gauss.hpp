@@ -47,6 +47,13 @@ struct GaussResult {
 void generate_system(std::uint32_t n, std::uint64_t seed,
                      std::vector<double>& a, std::vector<double>& b);
 
+/// The elimination step shared by every variant: row[j] -= f * piv[j] for
+/// j in [from, to).  Two lanes at a time with one multiply and one subtract
+/// per element (no fused multiply-add), so the result is bitwise that of
+/// the plain scalar loop.
+void row_update(double* row, const double* piv, double f, std::uint32_t from,
+                std::uint32_t to);
+
 /// Host-side reference solution (no simulation).
 std::vector<double> gauss_reference(std::uint32_t n, std::uint64_t seed);
 

@@ -741,13 +741,16 @@ void Machine::block_copy(PhysAddr dst, PhysAddr src, std::size_t bytes) {
   const Time total = (head - engine_.now()) + stream;
   s.stall_ns += total;
   // Move the bytes at completion time.
-  std::vector<std::uint8_t> tmp(bytes);
   charge(total);
   // A parity error voids the whole transfer: time charged, no data moved
   // (same contract as reference(); the PNC reports the block as failed).
   if (fault_checks_) maybe_mem_fault(src.node);
-  peek_bytes(tmp.data(), src, bytes);
-  poke_bytes(dst, tmp.data(), bytes);
+  // Grow both backings before taking either pointer: growing one node's
+  // backing reallocates it, and src and dst may share a node.  memmove
+  // because same-node ranges may overlap.
+  raw_mut(dst, bytes);
+  const std::uint8_t* from = raw_const(src, bytes);
+  std::memmove(raw_mut(dst, bytes), from, bytes);
 }
 
 void Machine::block_read(void* host_dst, PhysAddr src, std::size_t bytes) {

@@ -270,9 +270,12 @@ class Machine {
 
   // --- Probes (correctness tooling and tracing; see sim/observe.hpp) --------
   // All hooks are host-side and uncharged: attaching probes leaves the
-  // simulated event stream byte-identical to a bare run.  Annotation sites
-  // pass string literals and integers only, so an unprobed run does no work
-  // beyond one empty-list test and allocates nothing.
+  // simulated event stream byte-identical to a bare run.  Per-operation
+  // annotation sites (a reference, a send, a wait) pass string literals and
+  // integers only, or test probed() before building anything else, so an
+  // unprobed run does no work there beyond one empty-list test and
+  // allocates nothing.  Setup-time sites (the sync and Uniform System
+  // constructors labelling their cells) may format names unconditionally.
 
   /// Subscribe `p` to every hook, after the probes already attached.  A
   /// probe attached from inside a hook starts with the next hook.
@@ -280,6 +283,9 @@ class Machine {
   /// Unsubscribe `p` (no-op when not attached).  Safe from inside a hook,
   /// including `p`'s own: the remaining probes keep receiving.
   void detach(Probe* p);
+  /// Whether any probe is attached: the guard for annotation sites whose
+  /// arguments cost something to build (a formatted label).
+  bool probed() const { return !probes_.empty(); }
 
   // Kept only because perfbench's LayerSink reads them: one probe slot
   // managed through attach()/detach().

@@ -51,9 +51,10 @@ void Member::send(std::uint32_t dest, std::uint32_t tag, const void* data,
   rec.len = static_cast<std::uint32_t>(len);
   if (len > 0) {
     rec.buf = m.alloc(rcv.node_, len);
-    m.label_memory(rec.buf, len,
-                   "SMP.msg[" + std::to_string(index_) + "->" +
-                       std::to_string(dest) + "]");
+    if (m.probed())
+      m.label_memory(rec.buf, len,
+                     "SMP.msg[" + std::to_string(index_) + "->" +
+                         std::to_string(dest) + "]");
     m.block_write(rec.buf, data, len);
   }
   const std::uint32_t id = fam_.put_record(rec);
@@ -63,40 +64,36 @@ void Member::send(std::uint32_t dest, std::uint32_t tag, const void* data,
 }
 
 Message Member::receive() {
-  chrys::Kernel& k = fam_.k_;
-  sim::Machine& m = fam_.m_;
-  sim::TraceSpan span(m, "smp", "recv", index_);
-  const std::uint32_t id = k.dq_dequeue(mailbox_);
-  Family::MsgRec rec = fam_.take_record(id);
-  m.charge(kReceiveOverhead);
   Message msg;
-  msg.from = rec.from;
-  msg.tag = rec.tag;
-  msg.payload.resize(rec.len);
-  if (rec.len > 0) {
-    // Receiver maps the buffer too, then pulls it to local memory.
-    cache_.access((static_cast<std::uint64_t>(rec.from) << 32) | index_);
-    m.block_read(msg.payload.data(), rec.buf, rec.len);
-    m.free(rec.buf, rec.len);
-  }
+  receive(&msg);
   return msg;
 }
 
+void Member::receive(Message* out) {
+  sim::TraceSpan span(fam_.m_, "smp", "recv", index_);
+  deliver(fam_.k_.dq_dequeue(mailbox_), out);
+}
+
 bool Member::try_receive(Message* out) {
-  chrys::Kernel& k = fam_.k_;
   std::uint32_t id = 0;
-  if (!k.dq_try_dequeue(mailbox_, &id)) return false;
-  Family::MsgRec rec = fam_.take_record(id);
-  fam_.m_.charge(kReceiveOverhead);
+  if (!fam_.k_.dq_try_dequeue(mailbox_, &id)) return false;
+  deliver(id, out);
+  return true;
+}
+
+void Member::deliver(std::uint32_t id, Message* out) {
+  sim::Machine& m = fam_.m_;
+  const Family::MsgRec rec = fam_.take_record(id);
+  m.charge(kReceiveOverhead);
   out->from = rec.from;
   out->tag = rec.tag;
   out->payload.resize(rec.len);
   if (rec.len > 0) {
+    // Receiver maps the buffer too, then pulls it to local memory.
     cache_.access((static_cast<std::uint64_t>(rec.from) << 32) | index_);
-    fam_.m_.block_read(out->payload.data(), rec.buf, rec.len);
-    fam_.m_.free(rec.buf, rec.len);
+    m.block_read(out->payload.data(), rec.buf, rec.len);
+    m.free(rec.buf, rec.len);
   }
-  return true;
 }
 
 // --- Family ------------------------------------------------------------------

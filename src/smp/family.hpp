@@ -70,6 +70,10 @@ class Member {
 
   /// Blocking receive (any neighbor, FIFO arrival order).
   Message receive();
+  /// The same, into `out`: a payload already of the message's length is
+  /// overwritten in place, so a loop that keeps one Message allocates
+  /// nothing per message.
+  void receive(Message* out);
   bool try_receive(Message* out);
 
   const std::vector<std::uint32_t>& neighbors() const;
@@ -85,6 +89,8 @@ class Member {
   friend class Family;
   Member(Family& f, std::uint32_t index, sim::NodeId node,
          std::uint32_t cache_capacity);
+  /// Charge the receive and copy record `id`'s body into `out`.
+  void deliver(std::uint32_t id, Message* out);
 
   Family& fam_;
   std::uint32_t index_;

@@ -19,7 +19,7 @@ namespace {
 using sim::butterfly1;
 using sim::Machine;
 
-TEST(AppsScan, GaussUs) {
+TEST(WaitScan, GaussUs) {
   Machine m(butterfly1(8));
   Detector d(m);
   apps::GaussConfig cfg;
@@ -31,7 +31,7 @@ TEST(AppsScan, GaussUs) {
   EXPECT_TRUE(d.lints().empty()) << d.report();
 }
 
-TEST(AppsScan, GaussSmp) {
+TEST(WaitScan, GaussSmp) {
   Machine m(butterfly1(8));
   Detector d(m);
   apps::GaussConfig cfg;
@@ -42,7 +42,7 @@ TEST(AppsScan, GaussSmp) {
   EXPECT_TRUE(d.lints().empty()) << d.report();
 }
 
-TEST(AppsScan, Hough) {
+TEST(WaitScan, Hough) {
   Machine m(butterfly1(8));
   Detector d(m);
   apps::HoughConfig cfg;
@@ -57,7 +57,7 @@ TEST(AppsScan, Hough) {
   EXPECT_TRUE(d.lints().empty()) << d.report();
 }
 
-TEST(AppsScan, OddEvenSort) {
+TEST(WaitScan, OddEvenSort) {
   Machine m(butterfly1(8));
   Detector d(m);
   apps::SortConfig cfg;
@@ -70,7 +70,7 @@ TEST(AppsScan, OddEvenSort) {
   EXPECT_TRUE(d.lints().empty()) << d.report();
 }
 
-TEST(AppsScan, ConnectedComponents) {
+TEST(WaitScan, ConnectedComponents) {
   Machine m(butterfly1(8));
   Detector d(m);
   const apps::Graph g = apps::Graph::random(60, 3, 77);

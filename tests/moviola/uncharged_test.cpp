@@ -91,7 +91,7 @@ TEST(Uncharged, DetectorRunIsEventIdenticalToBare) {
   expect_logs_identical(inst.log, bare.log);
 }
 
-TEST(Uncharged, HoldsAcrossTimingSeeds) {
+TEST(Uncharged, DetectorHoldsAcrossTimingSeeds) {
   for (const std::uint64_t seed : {7u, 777u, 31337u}) {
     const RacyRun bare = run_racy(3, 5, seed, /*instrumented=*/false);
     const RacyRun inst = run_racy(3, 5, seed, /*instrumented=*/true);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "sim/machine.hpp"
 
 namespace bfly::sim {
@@ -129,6 +131,31 @@ TEST(Memory, BlockCopyMovesBytesAndIsCheaperPerWord) {
   EXPECT_LT(block_time * 3, word_time)
       << "microcoded block transfer must be much cheaper than word-at-a-time "
          "remote reads (this underlies the paper's 42% Hough improvement)";
+}
+
+TEST(Memory, BlockCopyHandlesOverlapAndBackingGrowth) {
+  Machine m(butterfly1(2));
+  constexpr std::size_t kBytes = 4096;
+  const PhysAddr base = m.alloc(0, 256 * 1024);
+  std::vector<std::uint8_t> model(256 * 1024);
+  for (std::size_t i = 0; i < 3 * kBytes; ++i)
+    model[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  m.poke_bytes(base, model.data(), 3 * kBytes);
+  // The far destination lies past everything touched so far, so the copy
+  // must grow node 0's backing while its source sits on the same node.
+  const std::size_t far = 200 * 1024;
+  on_node(m, 0, [&] {
+    // Overlapping ranges on one node, dst after src and then dst before.
+    m.block_copy(base.plus(1000), base, kBytes);
+    m.block_copy(base.plus(2 * kBytes), base.plus(2 * kBytes + 24), kBytes);
+    m.block_copy(base.plus(far), base.plus(8), kBytes);
+  });
+  std::memmove(&model[1000], &model[0], kBytes);
+  std::memmove(&model[2 * kBytes], &model[2 * kBytes + 24], kBytes);
+  std::memmove(&model[far], &model[8], kBytes);
+  std::vector<std::uint8_t> got(model.size());
+  m.peek_bytes(got.data(), base, got.size());
+  EXPECT_EQ(got, model);
 }
 
 TEST(Memory, AllocatorReusesFreedBlocks) {

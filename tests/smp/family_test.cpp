@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
 #include <numeric>
+#include <string>
+
+#include "sim/observe.hpp"
+#include "sim/rng.hpp"
 
 namespace bfly::smp {
 namespace {
@@ -218,6 +224,118 @@ TEST(SarCacheT, EvictionWhenChannelsExceedCapacity) {
   EXPECT_EQ(cache.misses(), 4u);
   EXPECT_EQ(cache.evictions(), 2u);
   EXPECT_GT(spent, 0u);
+}
+
+// The textbook LRU the flat cache must agree with access for access.
+struct ListLru {
+  std::uint32_t capacity;
+  Time map_ns;
+  std::list<std::uint64_t> lru;
+  std::uint64_t hits = 0, misses = 0, evictions = 0;
+  Time charged = 0;
+
+  void access(std::uint64_t ch) {
+    if (capacity == 0) {
+      ++misses;
+      charged += 2 * map_ns;
+      return;
+    }
+    for (auto it = lru.begin(); it != lru.end(); ++it) {
+      if (*it == ch) {
+        lru.splice(lru.begin(), lru, it);
+        ++hits;
+        return;
+      }
+    }
+    ++misses;
+    charged += map_ns;
+    if (lru.size() >= capacity) {
+      lru.pop_back();
+      charged += map_ns;
+      ++evictions;
+    }
+    lru.push_front(ch);
+  }
+};
+
+TEST(SarCacheT, MatchesAListLruOnARandomStream) {
+  for (const std::uint32_t cap : {0u, 1u, 3u, 200u}) {
+    Machine m(butterfly1(2));
+    SarCache cache(m, cap);
+    ListLru ref{cap, m.config().sar_map_ns, {}};
+    // A working set larger than the cache, half of it hot, with channel
+    // ids shaped like SMP's (sender << 32 | receiver).
+    const std::uint32_t set = 2 * cap + 7;
+    std::vector<std::uint64_t> channels(set);
+    sim::Rng rng(77 + cap);
+    for (std::uint32_t i = 0; i < set; ++i)
+      channels[i] = (static_cast<std::uint64_t>(rng.below(512)) << 32) |
+                    (i * 7 + 1);
+    std::vector<std::uint64_t> stream;
+    for (int i = 0; i < 6000; ++i) {
+      const std::uint64_t pick = rng.below(2) != 0u ? rng.below(set / 2 + 1)
+                                                    : rng.below(set);
+      stream.push_back(channels[pick]);
+    }
+    Time spent = 0;
+    m.spawn(0, [&] {
+      for (const std::uint64_t ch : stream) {
+        cache.access(ch);
+        ref.access(ch);
+      }
+      spent = m.now();
+    });
+    m.run();
+    EXPECT_EQ(cache.hits(), ref.hits) << "capacity " << cap;
+    EXPECT_EQ(cache.misses(), ref.misses) << "capacity " << cap;
+    EXPECT_EQ(cache.evictions(), ref.evictions) << "capacity " << cap;
+    EXPECT_EQ(spent, ref.charged) << "capacity " << cap;
+    if (cap >= 3) {
+      EXPECT_GT(cache.hits(), 0u) << "capacity " << cap;
+    }
+    if (cap > 0) {
+      EXPECT_GT(cache.evictions(), 0u) << "capacity " << cap;
+    }
+  }
+}
+
+// Counts the message-buffer labels a probe sees, by label text.
+class LabelCounter : public sim::Probe {
+ public:
+  void on_label(sim::PhysAddr, std::size_t, std::string name) override {
+    ++seen[name];
+  }
+  std::map<std::string, int> seen;
+};
+
+TEST(Family, AttachedProbeSeesOneLabelPerSend) {
+  Machine m(butterfly1(4));
+  LabelCounter probe;
+  m.attach(&probe);
+  chrys::Kernel k(m);
+  std::uint64_t sent = 0;
+  k.create_process(0, [&] {
+    Family fam(k, Topology::complete(3), [&](Member& me) {
+      for (std::uint32_t d = 0; d < 3; ++d)
+        if (d != me.index()) me.send_value<std::uint32_t>(d, 0, d);
+      for (int i = 0; i < 2; ++i) (void)me.receive();
+      if (me.index() == 0) me.send_value<std::uint32_t>(2, 1, 9);
+      if (me.index() == 2) (void)me.receive();
+    });
+    fam.join();
+    sent = fam.messages_sent();
+  });
+  m.run();
+  m.detach(&probe);
+  ASSERT_FALSE(m.deadlocked());
+  EXPECT_EQ(sent, 7u);
+  std::map<std::string, int> msg;
+  for (const auto& [name, count] : probe.seen)
+    if (name.rfind("SMP.msg[", 0) == 0) msg[name] = count;
+  const std::map<std::string, int> want = {
+      {"SMP.msg[0->1]", 1}, {"SMP.msg[0->2]", 2}, {"SMP.msg[1->0]", 1},
+      {"SMP.msg[1->2]", 1}, {"SMP.msg[2->0]", 1}, {"SMP.msg[2->1]", 1}};
+  EXPECT_EQ(msg, want);
 }
 
 TEST(Family, ManyToOneFunnel) {
