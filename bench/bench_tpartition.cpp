@@ -300,15 +300,8 @@ double cut_goodput(const RunResult& r, const Scenario& sc) {
   return win > 0 ? static_cast<double>(r.ok_in_cut) / win : 0.0;
 }
 
-int g_violations = 0;
-
-void gate(bool ok, const char* what) {
-  if (ok) return;
-  ++g_violations;
-  std::fprintf(stderr, "GATE FAILED: %s\n", what);
-}
-
-std::vector<std::string> g_rows;
+using bench::g_rows;
+using bench::gate;
 
 std::string row_json(const Scenario& sc, RunResult& r) {
   sim::json::Writer jw;
@@ -445,20 +438,8 @@ int main() {
   emit(replay, rs2);
 
   // --- BENCH_partition.json ------------------------------------------------
-  const char* out_path = std::getenv("BFLY_PARTITION_OUT");
-  if (out_path == nullptr) out_path = "BENCH_partition.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fprintf(f, "{\"bench\":\"tpartition\",\"fast\":%s,\"rows\":[",
-                 fast ? "true" : "false");
-    for (std::size_t i = 0; i < g_rows.size(); ++i)
-      std::fprintf(f, "%s%s", i > 0 ? "," : "", g_rows[i].c_str());
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s (%zu rows)\n", out_path, g_rows.size());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", out_path);
-    ++g_violations;
-  }
+  bench::write_rows("tpartition", "fast", fast, "BFLY_PARTITION_OUT",
+                    "BENCH_partition.json");
 
   std::printf(
       "\nshape check: a dead stage-0 card costs one extra hop and nothing\n"
@@ -466,10 +447,7 @@ int main() {
       "while reads and majority writes keep flowing; the heal restores\n"
       "membership and replays the dirty log, and the audit finds every\n"
       "acked write -- no split-brain, no silent loss, bit-equal replays.\n");
-  if (g_violations > 0) {
-    std::fprintf(stderr, "\n%d gate(s) FAILED\n", g_violations);
-    return 1;
-  }
+  if (bench::gates_failed()) return 1;
   std::printf("\nall gates passed\n");
   return 0;
 }

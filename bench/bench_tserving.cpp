@@ -235,15 +235,8 @@ double goodput(const RunResult& r, const Scenario& sc) {
   return static_cast<double>(r.ok) / bench::seconds(sc.duration);
 }
 
-int g_violations = 0;
-
-void gate(bool ok, const char* what) {
-  if (ok) return;
-  ++g_violations;
-  std::fprintf(stderr, "GATE FAILED: %s\n", what);
-}
-
-std::vector<std::string> g_rows;
+using bench::g_rows;
+using bench::gate;
 
 std::string row_json(const Scenario& sc, RunResult& r) {
   sim::json::Writer jw;
@@ -374,20 +367,8 @@ int main() {
        "hedged read p999 must beat unhedged by >= 2x under gray failure");
 
   // --- BENCH_serving.json --------------------------------------------------
-  const char* out_path = std::getenv("BFLY_SERVING_OUT");
-  if (out_path == nullptr) out_path = "BENCH_serving.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fprintf(f, "{\"bench\":\"tserving\",\"fast\":%s,\"rows\":[",
-                 fast ? "true" : "false");
-    for (std::size_t i = 0; i < g_rows.size(); ++i)
-      std::fprintf(f, "%s%s", i > 0 ? "," : "", g_rows[i].c_str());
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s (%zu rows)\n", out_path, g_rows.size());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", out_path);
-    ++g_violations;
-  }
+  bench::write_rows("tserving", "fast", fast, "BFLY_SERVING_OUT",
+                    "BENCH_serving.json");
 
   std::printf(
       "\nshape check: under capacity (~2.2k ops/s with this mix) goodput\n"
@@ -397,10 +378,7 @@ int main() {
       "admission control sheds attempts; 4 silent kills cost >= 70%% of\n"
       "fault-free goodput and zero lost blocks; the gray-failed server is\n"
       "never suspected, yet hedged read p999 beats unhedged >= 2x.\n");
-  if (g_violations > 0) {
-    std::fprintf(stderr, "\n%d gate(s) FAILED\n", g_violations);
-    return 1;
-  }
+  if (bench::gates_failed()) return 1;
   std::printf("all gates passed\n");
   return 0;
 }

@@ -58,13 +58,8 @@ constexpr std::uint32_t kBarrierEpisodes = 4;
 constexpr std::uint32_t kAddsPerNode = 32;  // counter rows
 constexpr std::uint32_t kFaddPerActor = 4;  // fadd rows
 
-int g_violations = 0;
-
-void gate(bool ok, const char* what) {
-  if (ok) return;
-  ++g_violations;
-  std::fprintf(stderr, "GATE FAILED: %s\n", what);
-}
+using bench::g_rows;
+using bench::gate;
 
 struct Row {
   std::string prim;            // "lock-spin", "lock-mcs", ...
@@ -82,8 +77,6 @@ struct Row {
                           static_cast<double>(ops);
   }
 };
-
-std::vector<std::string> g_rows;
 
 void emit(const Row& r) {
   std::printf("%-12s %6u %7u %8llu %12.3f %10.3f %10llu %10llu\n",
@@ -360,20 +353,8 @@ int main() {
          "combining must beat port serialization at 1K nodes");
   }
 
-  const char* out_path = std::getenv("BFLY_SYNC_OUT");
-  if (out_path == nullptr) out_path = "BENCH_sync.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fprintf(f, "{\"bench\":\"tsync\",\"full\":%s,\"rows\":[",
-                 full ? "true" : "false");
-    for (std::size_t i = 0; i < g_rows.size(); ++i)
-      std::fprintf(f, "%s%s", i > 0 ? "," : "", g_rows[i].c_str());
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s (%zu rows)\n", out_path, g_rows.size());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", out_path);
-    ++g_violations;
-  }
+  bench::write_rows("tsync", "full", full, "BFLY_SYNC_OUT",
+                    "BENCH_sync.json");
 
   std::printf(
       "\nshape check: lock-spin and barrier-central per-op cost grows with\n"
@@ -382,10 +363,7 @@ int main() {
       "wave, local-only waiting); counter-dist adds are local so the\n"
       "aggregating read is the only term that grows; fadd-combine merges\n"
       "concurrent adds at the switch so the port queue never forms.\n");
-  if (g_violations != 0) {
-    std::fprintf(stderr, "\n%d gate(s) FAILED\n", g_violations);
-    return 1;
-  }
+  if (bench::gates_failed()) return 1;
   std::printf("all gates passed\n");
   return 0;
 }

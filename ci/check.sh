@@ -3,7 +3,9 @@
 #
 # Exits nonzero on the first failure (set -e), so a red step fails the
 # whole job.  Steps:
-#   1. default preset  — Release build, full ctest suite
+#   1. default preset  — Release build with warnings as errors
+#                        (-Wall -Wextra, CMAKE_COMPILE_WARNING_AS_ERROR),
+#                        full ctest suite
 #   1b. unique names   — fails when `ctest -N` lists a test name twice
 #                        (two binaries registering the same gtest name
 #                        make a by-name failure ambiguous)
@@ -47,8 +49,8 @@ JOBS="${1:-$(nproc)}"
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
-step "configure + build (default preset)"
-cmake --preset default
+step "configure + build (default preset, warnings as errors)"
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build --preset default -j "$JOBS"
 
 step "test (default preset)"

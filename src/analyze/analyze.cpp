@@ -21,11 +21,7 @@ const char* op_name(sim::MemOp op) {
 
 }  // namespace
 
-Analyzer::Analyzer(sim::Machine& m) : Analyzer(m, Options()) {}
-
-Analyzer::Analyzer(sim::Machine& m, Options opt) : m_(m), opt_(opt) {
-  m_.attach(this);
-}
+Analyzer::Analyzer(sim::Machine& m) : m_(m) { m_.attach(this); }
 
 Analyzer::~Analyzer() { m_.detach(this); }
 
@@ -198,7 +194,7 @@ void Analyzer::record_race(std::uint32_t actor, sim::PhysAddr word_addr,
   const std::string object = symbolize(word_addr);
   if (suppressed(object)) return;
   ++races_total_;
-  if (races_.size() >= opt_.max_races) return;
+  if (races_.size() >= kMaxRaces) return;
   RaceReport r;
   r.addr = word_addr;
   r.object = object;
@@ -292,11 +288,11 @@ std::vector<HotWordReport> Analyzer::hot_words() const {
   if (elapsed == 0) return out;
   const double service = static_cast<double>(m_.config().module_service_ns);
   for (const auto& [key, s] : shadow_) {
-    if (s.remote_words < opt_.hot_min_remote_refs) continue;
+    if (s.remote_words < kHotMinRemoteRefs) continue;
     const double occ =
         static_cast<double>(s.remote_words) * service /
         static_cast<double>(elapsed);
-    if (occ < opt_.hot_occupancy) continue;
+    if (occ < kHotOccupancy) continue;
     HotWordReport h;
     h.addr = sim::PhysAddr{static_cast<sim::NodeId>(key >> 32),
                            static_cast<std::uint32_t>(key) * 4};

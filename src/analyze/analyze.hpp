@@ -71,19 +71,16 @@ struct HotWordReport {
 
 class Analyzer final : public sim::Probe {
  public:
-  struct Options {
-    /// Remote occupancy fraction above which a word is reported hot.
-    double hot_occupancy = 0.05;
-    /// Ignore words with fewer remote word-references than this.
-    std::uint64_t hot_min_remote_refs = 1000;
-    /// Stop recording race reports past this many (each word reports at
-    /// most once regardless).
-    std::size_t max_races = 64;
-  };
+  /// Remote occupancy fraction above which a word is reported hot.
+  static constexpr double kHotOccupancy = 0.05;
+  /// Ignore words with fewer remote word-references than this.
+  static constexpr std::uint64_t kHotMinRemoteRefs = 1000;
+  /// Stop recording race reports past this many (each word reports at
+  /// most once regardless).
+  static constexpr std::size_t kMaxRaces = 64;
 
   /// Attaches to `m` (beside any other probes) for its lifetime.
   explicit Analyzer(sim::Machine& m);
-  Analyzer(sim::Machine& m, Options opt);
   ~Analyzer() override;
 
   Analyzer(const Analyzer&) = delete;
@@ -96,7 +93,7 @@ class Analyzer final : public sim::Probe {
   }
 
   const std::vector<RaceReport>& races() const { return races_; }
-  /// Distinct racy words found and not suppressed — counts past max_races
+  /// Distinct racy words found and not suppressed — counts past kMaxRaces
   /// even after races() stops growing.
   std::uint64_t races_total() const { return races_total_; }
 
@@ -175,7 +172,6 @@ class Analyzer final : public sim::Probe {
   bool suppressed(const std::string& object) const;
 
   sim::Machine& m_;
-  Options opt_;
 
   std::vector<Actor> actors_;
   std::unordered_map<sim::Fiber*, std::uint32_t> actor_ids_;

@@ -107,9 +107,9 @@ std::string Tracer::chrome_trace() const {
   std::size_t bin = 0;
   const std::size_t bins = series_.empty() ? 0 : max_bin_ + 1;
   auto emit_counters_until = [&](sim::Time t) {
-    for (; bin < bins && static_cast<sim::Time>(bin) * opt_.bin_ns <= t;
+    for (; bin < bins && static_cast<sim::Time>(bin) * kBinNs <= t;
          ++bin) {
-      const sim::Time at = static_cast<sim::Time>(bin) * opt_.bin_ns;
+      const sim::Time at = static_cast<sim::Time>(bin) * kBinNs;
       for (sim::NodeId n = 0; n < m_.nodes(); ++n) {
         const NodeSeries& s = series_[n];
         auto get = [&](const auto& v) -> double {
@@ -125,8 +125,8 @@ std::string Tracer::chrome_trace() const {
         ts_us(w, at);
         w.key("args")
             .begin_object()
-            .kv("busy_frac", occ / static_cast<double>(opt_.bin_ns))
-            .kv("queue_frac", que / static_cast<double>(opt_.bin_ns))
+            .kv("busy_frac", occ / static_cast<double>(kBinNs))
+            .kv("queue_frac", que / static_cast<double>(kBinNs))
             .end_object()
             .end_object();
         w.begin_object().kv("ph", "C").kv("name", "refs").kv("pid", pid);
@@ -427,7 +427,7 @@ std::string Tracer::metrics_json() const {
       .end_object();
   w.raw(std::string("\"fault\":{") + st.fault_json() + "}");
   w.key("series").begin_object();
-  w.kv("bin_ns", std::uint64_t{opt_.bin_ns});
+  w.kv("bin_ns", std::uint64_t{kBinNs});
   w.key("node").begin_array();
   const std::size_t bins = max_bin_ + 1;
   for (sim::NodeId n = 0; n < m_.nodes(); ++n) {

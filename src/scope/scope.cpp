@@ -9,7 +9,6 @@ Tracer::Tracer(sim::Machine& m, ScopeOptions opt)
       opt_(opt),
       next_tid_(m.nodes() + 1, 1),  // last slot: host context
       series_(m.nodes()) {
-  if (opt_.bin_ns == 0) opt_.bin_ns = sim::kMillisecond;
   m_.attach(this);
 }
 
@@ -82,7 +81,7 @@ void Tracer::on_reference(sim::NodeId requester, sim::NodeId home,
                           std::uint32_t words, sim::Time queue_ns,
                           sim::MemOp /*op*/, sim::Time at) {
   ++refs_seen_;
-  const std::size_t bin = at / opt_.bin_ns;
+  const std::size_t bin = at / kBinNs;
   if (bin > max_bin_) max_bin_ = bin;
   auto grow = [bin](auto& v) -> decltype(v[0])& {
     if (v.size() <= bin) v.resize(bin + 1);

@@ -40,9 +40,10 @@
 
 namespace bfly::scope {
 
+/// Width of the time-series bins (occupancy / contention / locality).
+inline constexpr sim::Time kBinNs = sim::kMillisecond;
+
 struct ScopeOptions {
-  /// Width of the time-series bins (occupancy / contention / locality).
-  sim::Time bin_ns = sim::kMillisecond;
   /// Safety cap on recorded span/instant events.  Past the cap new spans
   /// are dropped (balanced: their ends are dropped too) and counted in
   /// dropped_events() — the exporters report the drop, never hide it.

@@ -31,9 +31,6 @@ ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
         "Bridge; give every request a budget");
   if (cfg_.retry.attempts == 0)
     throw sim::SimError("serve: retry.attempts must be >= 1");
-  if (cfg_.hedge_window == 0)
-    throw sim::SimError("serve: hedge_window must be >= 1");
-  lat_ring_.assign(cfg_.hedge_window, 0);
   excised_.assign(m_.nodes(), 0);
   repair_dq_ = k_.make_dual_queue();
   // Crash tier: loud kills reach us through the machine-check broadcast
@@ -104,8 +101,8 @@ bridge::FileId ReplicatedFs::open(const std::string& name,
 
 void ReplicatedFs::record_latency(sim::Time t) {
   lat_ring_[lat_idx_] = t;
-  lat_idx_ = (lat_idx_ + 1) % cfg_.hedge_window;
-  if (lat_count_ < cfg_.hedge_window) ++lat_count_;
+  lat_idx_ = (lat_idx_ + 1) % kHedgeWindow;
+  if (lat_count_ < kHedgeWindow) ++lat_count_;
 }
 
 sim::Time ReplicatedFs::hedge_threshold() const {
@@ -113,7 +110,7 @@ sim::Time ReplicatedFs::hedge_threshold() const {
   std::vector<sim::Time> v(lat_ring_.begin(), lat_ring_.begin() + lat_count_);
   std::sort(v.begin(), v.end());
   const auto idx = static_cast<std::size_t>(
-      cfg_.hedge_quantile * static_cast<double>(v.size() - 1));
+      kHedgeQuantile * static_cast<double>(v.size() - 1));
   return std::max(cfg_.hedge_floor, v[idx]);
 }
 

@@ -47,6 +47,7 @@
 // with serve enabled (tests/serve/chaos_test.cpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -70,15 +71,12 @@ struct ServeConfig {
   /// with deterministic jitter (attempts, base, cap, jitter).
   rescue::RetryPolicy retry{4, 1 * sim::kMillisecond, 32 * sim::kMillisecond,
                             0.5};
-  /// Hedge a read once it has waited past the hedge_quantile of recent
-  /// read latencies (floored by hedge_floor).
+  /// Hedge a read once it has waited past the 90th percentile of the last
+  /// 64 read latencies (floored by hedge_floor).
   bool hedge_reads = true;
-  double hedge_quantile = 0.9;
   sim::Time hedge_floor = 30 * sim::kMillisecond;
-  /// Ring of recent read latencies the quantile is estimated from, and the
-  /// samples required before the estimate is trusted (hedge_floor rules
+  /// Samples required before the percentile is trusted (hedge_floor rules
   /// until then).
-  std::uint32_t hedge_window = 64;
   std::uint32_t min_hedge_samples = 8;
   /// Admission control: a server whose queue (incl. the request being
   /// served) is at least this deep sheds the incoming request.
@@ -256,8 +254,11 @@ class ReplicatedFs {
   // after its ack; writers stall until the scan is over instead.
   std::unordered_set<std::uint64_t> resync_busy_;
 
-  // Latency ring for the hedge quantile estimate.
-  std::vector<sim::Time> lat_ring_;
+  // Ring of the last kHedgeWindow read latencies; hedges fire past their
+  // kHedgeQuantile.
+  static constexpr std::uint32_t kHedgeWindow = 64;
+  static constexpr double kHedgeQuantile = 0.9;
+  std::array<sim::Time, kHedgeWindow> lat_ring_{};
   std::uint32_t lat_count_ = 0;
   std::uint32_t lat_idx_ = 0;
 

@@ -84,9 +84,6 @@ struct MachineConfig {
   /// Which primitive family runtime layers pick when offered a choice (the
   /// Uniform System's completion counter, sync::make_* helpers).
   SyncStrategy sync_strategy = SyncStrategy::kCentral1988;
-  /// Fan-in of the combining-tree barrier when the scalable strategy is
-  /// selected (2..8 are sensible; 4 matches the switch radix).
-  std::uint32_t barrier_arity = 4;
 
   // --- Operating system cost knobs (used by the Chrysalis layer) ----------
   /// Mapping or unmapping one segment costs "over 1 ms" (Section 2.1).

@@ -430,10 +430,6 @@ void Machine::fire_heal(std::size_t idx) {
     heal_observers_[i].fn(idx);
 }
 
-void Machine::check_node(NodeId home) const {
-  if (home >= cfg_.nodes) throw SimError("bad node in address");
-}
-
 void Machine::check_target(NodeId home) {
   if (!node_dead_[home]) return;
   ++stats_.dead_node_refs;
@@ -467,27 +463,18 @@ void Machine::ensure_backing(Node& nd, std::size_t end) const {
   }
 }
 
-std::uint8_t* Machine::raw(PhysAddr a, std::size_t n) { return raw_mut(a, n); }
-
-std::uint8_t* Machine::raw_mut(PhysAddr a, std::size_t n) {
+std::uint8_t* Machine::raw_mut(PhysAddr a, std::size_t n) const {
   if (a.node >= cfg_.nodes) throw SimError("bad node in address");
   Node& nd = node_[a.node];
   ensure_backing(nd, static_cast<std::size_t>(a.offset) + n);
   return nd.mem.data() + a.offset;
 }
 
-const std::uint8_t* Machine::raw_const(PhysAddr a, std::size_t n) const {
-  if (a.node >= cfg_.nodes) throw SimError("bad node in address");
-  Node& nd = node_[a.node];
-  ensure_backing(nd, static_cast<std::size_t>(a.offset) + n);
-  return nd.mem.data() + a.offset;
-}
-
-PhysAddr Machine::alloc(NodeId node, std::size_t bytes, std::size_t align) {
+PhysAddr Machine::alloc(NodeId node, std::size_t bytes) {
   if (node >= cfg_.nodes) throw SimError("alloc: bad node");
   if (fault_checks_ && node_dead_[node]) throw NodeDeadError(node);
   if (bytes == 0) bytes = 1;
-  (void)align;  // everything is 8-aligned
+  // Sizes round up to whole 8-byte units, so every block is 8-aligned.
   const auto size = static_cast<std::uint32_t>((bytes + 7) & ~std::size_t{7});
   Node& nd = node_[node];
   // First fit over freed blocks.
@@ -584,265 +571,193 @@ double Machine::slow_factor(NodeId n) const {
   return 1.0;
 }
 
-void Machine::reference(PhysAddr a, std::uint32_t words, MemOp op) {
+// --- Timed transactions ----------------------------------------------------
+//
+// Every timed memory operation is one PNC transaction served by its home
+// module, run through three shared steps:
+//   admit   the requester, then the address, dead-target and partition
+//           checks (the last two charge the failed attempt, then throw);
+//   time    the head reference's module timing plus its accounting: the
+//           local/remote/serviced counts, the queueing, and on_reference;
+//   settle  stall accounting, the charge, the memory-fault draw, and
+//           on_access, in that order, so probes see an access when its data
+//           moves: the caller moves the data next.
+
+NodeId Machine::admit(NodeId home, NodeId home2) {
   const NodeId req = current_node();
-  check_node(a.node);
+  // Address validation precedes every charged check: a wild node id must
+  // raise SimError, not index off node_[].
+  if (home >= cfg_.nodes || home2 >= cfg_.nodes)
+    throw SimError("bad node in address");
   if (fault_checks_) {
-    check_target(a.node);
-    if (has_cuts_) check_reach(req, a.node);
+    check_target(home);
+    if (home2 != home) check_target(home2);
+    if (has_cuts_) {
+      check_reach(req, home);
+      if (home2 != home) check_reach(req, home2);
+    }
   }
-  observe_access(a, words, op, req);
-  Time q = 0;
-  const Time finish = reference_finish(req, a.node, words, &q);
-  NodeStats& s = stats_.node[req];
-  if (req == a.node) {
-    ++s.local_refs;
-  } else {
-    ++s.remote_refs;
-    ++stats_.node[a.node].serviced_remote;
-  }
-  s.queue_ns += q;
-  trace_reference(req, a.node, words, q, op);
-  const Time d = finish - engine_.now();
-  s.stall_ns += d;
-  charge(d);
-  if (fault_checks_) maybe_mem_fault(a.node);
+  return req;
 }
 
-std::uint32_t Machine::fetch_add_u32(PhysAddr a, std::uint32_t delta) {
-  if (combining_)
-    combining_fetch_add_reference(a);
-  else
-    reference(a, 1, MemOp::kAtomic);
-  auto* p = raw(a, 4);
-  std::uint32_t old;
-  std::memcpy(&old, p, 4);
-  const std::uint32_t nv = old + delta;
-  std::memcpy(p, &nv, 4);
-  return old;
+Time Machine::time_txn(const Txn& t, Time* q) {
+  const Time finish = reference_finish(t.req, t.a.node, t.head_words, q);
+  NodeStats& s = stats_.node[t.req];
+  if (t.remote) {
+    s.remote_refs += t.refs;
+    if (t.serviced) stats_.node[t.a.node].serviced_remote += t.refs;
+  } else {
+    s.local_refs += t.refs;
+  }
+  s.queue_ns += *q;
+  trace_reference(t.req, t.a.node, t.words, *q, t.op);
+  return finish;
+}
+
+void Machine::settle(const Txn& t, Time d) {
+  stats_.node[t.req].stall_ns += d;
+  charge(d);
+  // A parity error voids the transaction: time charged, no data moved.
+  if (t.faults && fault_checks_) maybe_mem_fault(t.a.node);
+  observe_access(t.a, t.words, t.op, t.req);
+}
+
+void Machine::reference(PhysAddr a, std::uint32_t words, MemOp op) {
+  const Txn t{.req = admit(a.node, a.node), .a = a, .words = words, .op = op};
+  Time q = 0;
+  const Time finish = time_txn(t, &q);
+  settle(t, finish - engine_.now());
 }
 
 void Machine::combining_fetch_add_reference(PhysAddr a) {
-  const NodeId req = current_node();
-  check_node(a.node);
-  if (fault_checks_) {
-    check_target(a.node);
-    if (has_cuts_) check_reach(req, a.node);
-  }
-  observe_access(a, 1, MemOp::kAtomic, req);
+  const Txn t{.req = admit(a.node, a.node), .a = a, .words = 1,
+              .op = MemOp::kAtomic};
   const std::uint64_t key = chan_of(a);
-  NodeStats& s = stats_.node[req];
-  Time fin = 0;
-  if (req != a.node &&
+  Time finish = 0;
+  if (t.remote &&
       fabric_.combine_add(key, engine_.now() + cfg_.issue_overhead_ns,
-                          &fin)) {
+                          &finish)) {
     // Follower: merged at a switch stage; never touches the home module.
-    ++s.remote_refs;
-    trace_reference(req, a.node, 1, 0, MemOp::kAtomic);
-    const Time d = fin > engine_.now() ? fin - engine_.now() : 0;
-    s.stall_ns += d;
-    charge(d);
+    ++stats_.node[t.req].remote_refs;
+    trace_reference(t.req, a.node, 1, 0, MemOp::kAtomic);
+    finish = std::max(finish, engine_.now());
   } else {
-    // Leader (or local): a normal contended reference, opening a combining
-    // window that stays live until the reply fans back down.
+    // Leader (or local): a plain reference, opening a combining window
+    // that stays live until the reply fans back down.
     Time q = 0;
-    const Time finish = reference_finish(req, a.node, 1, &q);
-    if (req == a.node) {
-      ++s.local_refs;
-    } else {
-      ++s.remote_refs;
-      ++stats_.node[a.node].serviced_remote;
-    }
-    s.queue_ns += q;
-    trace_reference(req, a.node, 1, q, MemOp::kAtomic);
-    if (req != a.node) fabric_.record_add(key, finish);
-    const Time d = finish - engine_.now();
-    s.stall_ns += d;
-    charge(d);
+    finish = time_txn(t, &q);
+    if (t.remote) fabric_.record_add(key, finish);
   }
-  if (fault_checks_) maybe_mem_fault(a.node);
+  settle(t, finish - engine_.now());
 }
 
-std::uint32_t Machine::fetch_or_u32(PhysAddr a, std::uint32_t bits) {
-  reference(a, 1, MemOp::kAtomic);
-  auto* p = raw(a, 4);
+template <typename Next>
+std::uint32_t Machine::rmw(PhysAddr a, bool combine, Next next) {
+  if (combine)
+    combining_fetch_add_reference(a);
+  else
+    reference(a, 1, MemOp::kAtomic);
+  std::uint8_t* p = raw_mut(a, 4);
   std::uint32_t old;
   std::memcpy(&old, p, 4);
-  const std::uint32_t nv = old | bits;
+  const std::uint32_t nv = next(old);
   std::memcpy(p, &nv, 4);
   return old;
 }
 
+std::uint32_t Machine::fetch_add_u32(PhysAddr a, std::uint32_t delta) {
+  return rmw(a, combining_, [delta](std::uint32_t old) { return old + delta; });
+}
+
+std::uint32_t Machine::fetch_or_u32(PhysAddr a, std::uint32_t bits) {
+  return rmw(a, false, [bits](std::uint32_t old) { return old | bits; });
+}
+
 std::uint32_t Machine::test_and_set(PhysAddr a) {
-  reference(a, 1, MemOp::kAtomic);
-  auto* p = raw(a, 4);
-  std::uint32_t old;
-  std::memcpy(&old, p, 4);
-  const std::uint32_t one = 1;
-  std::memcpy(p, &one, 4);
-  return old;
+  return rmw(a, false, [](std::uint32_t) { return std::uint32_t{1}; });
 }
 
 std::uint32_t Machine::swap_u32(PhysAddr a, std::uint32_t v) {
-  reference(a, 1, MemOp::kAtomic);
-  auto* p = raw(a, 4);
-  std::uint32_t old;
-  std::memcpy(&old, p, 4);
-  std::memcpy(p, &v, 4);
-  return old;
+  return rmw(a, false, [v](std::uint32_t) { return v; });
 }
 
 std::uint32_t Machine::cas_u32(PhysAddr a, std::uint32_t expect,
                                std::uint32_t desired) {
-  reference(a, 1, MemOp::kAtomic);
-  auto* p = raw(a, 4);
-  std::uint32_t old;
-  std::memcpy(&old, p, 4);
-  if (old == expect) std::memcpy(p, &desired, 4);
-  return old;
+  return rmw(a, false, [expect, desired](std::uint32_t old) {
+    return old == expect ? desired : old;
+  });
+}
+
+void Machine::stream(const PhysAddr* dst, const PhysAddr* src,
+                     std::size_t bytes, void* host_dst, const void* host_src) {
+  if (bytes == 0) return;
+  // The head reference goes to the source, or to the destination when the
+  // source is the caller's private memory.  A copy is charged and counted
+  // as one transaction to the source, remote when either end is.
+  const bool copy = src != nullptr && dst != nullptr;
+  const PhysAddr head = src != nullptr ? *src : *dst;
+  const NodeId tail = dst != nullptr ? dst->node : head.node;
+  const NodeId req = admit(head.node, tail);
+  const std::uint32_t words = word_count(bytes);
+  const Txn t{.req = req, .a = head, .words = words,
+              .op = src != nullptr ? MemOp::kRead : MemOp::kWrite,
+              .head_words = 1,
+              .remote = head.node != req || tail != req,
+              .serviced = false};
+  Time q = 0;
+  // Head of the transfer pays full reference latency...
+  const Time finish = time_txn(t, &q);
+  stats_.node[req].block_words += words;
+  if (copy) trace_reference(req, tail, words, 0, MemOp::kWrite);
+  // ...then words stream at the block rate, occupying each simulated end's
+  // module (a same-node copy occupies it twice).
+  const Time occupancy = static_cast<Time>(words) * cfg_.module_service_ns;
+  for (const PhysAddr* end : {src, dst}) {
+    if (end == nullptr) continue;
+    Time& busy = node_[end->node].module_busy_until;
+    busy = std::max(busy, finish) + occupancy;
+  }
+  settle(t, finish - engine_.now() +
+                static_cast<Time>(words) * cfg_.block_word_ns);
+  if (copy) observe_access(*dst, words, MemOp::kWrite, req);
+  // Grow the destination's backing before taking the source pointer:
+  // growing one node's backing reallocates it, and src and dst may share a
+  // node.  memmove because same-node ranges may overlap.
+  if (copy) raw_mut(*dst, bytes);
+  const void* from = src != nullptr ? raw_mut(*src, bytes) : host_src;
+  void* to = dst != nullptr ? raw_mut(*dst, bytes) : host_dst;
+  std::memmove(to, from, bytes);
 }
 
 void Machine::block_copy(PhysAddr dst, PhysAddr src, std::size_t bytes) {
-  if (bytes == 0) return;
-  const NodeId req = current_node();
-  check_node(src.node);
-  check_node(dst.node);
-  if (fault_checks_) {
-    check_target(src.node);
-    check_target(dst.node);
-    if (has_cuts_) {
-      check_reach(req, src.node);
-      check_reach(req, dst.node);
-    }
-  }
-  const std::uint32_t words = word_count(bytes);
-  observe_access(src, words, MemOp::kRead, req);
-  observe_access(dst, words, MemOp::kWrite, req);
-  Time q = 0;
-  // Head of the transfer pays full reference latency to the source...
-  const Time head = reference_finish(req, src.node, 1, &q);
-  // ...then words stream at the block rate, occupying both modules.
-  const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
-  const Time occupancy =
-      static_cast<Time>(words) * cfg_.module_service_ns;
-  node_[src.node].module_busy_until =
-      std::max(node_[src.node].module_busy_until, head) + occupancy;
-  node_[dst.node].module_busy_until =
-      std::max(node_[dst.node].module_busy_until, head) + occupancy;
-
-  NodeStats& s = stats_.node[req];
-  s.block_words += words;
-  s.queue_ns += q;
-  if (src.node != req || dst.node != req) ++s.remote_refs;
-  else ++s.local_refs;
-  trace_reference(req, src.node, words, q, MemOp::kRead);
-  trace_reference(req, dst.node, words, 0, MemOp::kWrite);
-
-  const Time total = (head - engine_.now()) + stream;
-  s.stall_ns += total;
-  // Move the bytes at completion time.
-  charge(total);
-  // A parity error voids the whole transfer: time charged, no data moved
-  // (same contract as reference(); the PNC reports the block as failed).
-  if (fault_checks_) maybe_mem_fault(src.node);
-  // Grow both backings before taking either pointer: growing one node's
-  // backing reallocates it, and src and dst may share a node.  memmove
-  // because same-node ranges may overlap.
-  raw_mut(dst, bytes);
-  const std::uint8_t* from = raw_const(src, bytes);
-  std::memmove(raw_mut(dst, bytes), from, bytes);
+  stream(&dst, &src, bytes, nullptr, nullptr);
 }
 
 void Machine::block_read(void* host_dst, PhysAddr src, std::size_t bytes) {
-  if (bytes == 0) return;
-  const NodeId req = current_node();
-  check_node(src.node);
-  if (fault_checks_) {
-    check_target(src.node);
-    if (has_cuts_) check_reach(req, src.node);
-  }
-  const std::uint32_t words = word_count(bytes);
-  observe_access(src, words, MemOp::kRead, req);
-  Time q = 0;
-  const Time head = reference_finish(req, src.node, 1, &q);
-  const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
-  node_[src.node].module_busy_until =
-      std::max(node_[src.node].module_busy_until, head) +
-      static_cast<Time>(words) * cfg_.module_service_ns;
-  NodeStats& s = stats_.node[req];
-  s.block_words += words;
-  s.queue_ns += q;
-  if (src.node != req) ++s.remote_refs;
-  else ++s.local_refs;
-  trace_reference(req, src.node, words, q, MemOp::kRead);
-  const Time total = (head - engine_.now()) + stream;
-  s.stall_ns += total;
-  charge(total);
-  if (fault_checks_) maybe_mem_fault(src.node);
-  peek_bytes(host_dst, src, bytes);
+  stream(nullptr, &src, bytes, host_dst, nullptr);
 }
 
 void Machine::block_write(PhysAddr dst, const void* host_src,
                           std::size_t bytes) {
-  if (bytes == 0) return;
-  const NodeId req = current_node();
-  check_node(dst.node);
-  if (fault_checks_) {
-    check_target(dst.node);
-    if (has_cuts_) check_reach(req, dst.node);
-  }
-  const std::uint32_t words = word_count(bytes);
-  observe_access(dst, words, MemOp::kWrite, req);
-  Time q = 0;
-  const Time head = reference_finish(req, dst.node, 1, &q);
-  const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
-  node_[dst.node].module_busy_until =
-      std::max(node_[dst.node].module_busy_until, head) +
-      static_cast<Time>(words) * cfg_.module_service_ns;
-  NodeStats& s = stats_.node[req];
-  s.block_words += words;
-  s.queue_ns += q;
-  if (dst.node != req) ++s.remote_refs;
-  else ++s.local_refs;
-  trace_reference(req, dst.node, words, q, MemOp::kWrite);
-  const Time total = (head - engine_.now()) + stream;
-  s.stall_ns += total;
-  charge(total);
-  if (fault_checks_) maybe_mem_fault(dst.node);
-  poke_bytes(dst, host_src, bytes);
+  stream(&dst, nullptr, bytes, nullptr, host_src);
 }
 
-void Machine::access_words(PhysAddr a, std::uint32_t n, bool write) {
-  (void)write;
+void Machine::access_words(PhysAddr a, std::uint32_t n) {
   if (n == 0) return;
-  const NodeId req = current_node();
-  check_node(a.node);
-  if (fault_checks_) {
-    check_target(a.node);
-    if (has_cuts_) check_reach(req, a.node);
-  }
-  // Aggregate traffic: counted for contention lints, never race-checked
-  // (these calls model reference volume, not individual data accesses).
-  observe_access(a, n, MemOp::kAggregate, req);
   // n back-to-back single-word references; the requester is latency-bound,
   // so each starts when the previous completes.  Only the first can queue
   // behind foreign traffic (an approximation that keeps this O(1)).
+  // Reported as aggregate traffic: counted for contention lints, never
+  // race-checked (these calls model reference volume, not data accesses).
+  const Txn t{.req = admit(a.node, a.node), .a = a, .words = n,
+              .op = MemOp::kAggregate, .head_words = 1, .refs = n,
+              .faults = false};
   Time q = 0;
-  const Time first = reference_finish(req, a.node, 1, &q);
+  const Time first = time_txn(t, &q);
   const Time per = first - engine_.now() - q;  // uncontended latency
   node_[a.node].module_busy_until +=
       static_cast<Time>(n - 1) * cfg_.module_service_ns;
-  NodeStats& s = stats_.node[req];
-  if (req == a.node) s.local_refs += n;
-  else {
-    s.remote_refs += n;
-    stats_.node[a.node].serviced_remote += n;
-  }
-  s.queue_ns += q;
-  trace_reference(req, a.node, n, q, MemOp::kAggregate);
-  const Time total = q + static_cast<Time>(n) * per;
-  s.stall_ns += total;
-  charge(total);
+  settle(t, q + static_cast<Time>(n) * per);
 }
 
 }  // namespace bfly::sim

@@ -213,7 +213,7 @@ class Machine {
 
   /// First-fit allocation in `node`'s memory.  Throws SimError when the
   /// node is exhausted.  Untimed (the OS layer charges its own costs).
-  PhysAddr alloc(NodeId node, std::size_t bytes, std::size_t align = 8);
+  PhysAddr alloc(NodeId node, std::size_t bytes);
   void free(PhysAddr addr, std::size_t bytes);
   /// Bytes currently allocated on a node.
   std::size_t allocated_on(NodeId node) const;
@@ -229,7 +229,7 @@ class Machine {
     static_assert(sizeof(T) <= 8);
     reference(a, word_count(sizeof(T)), MemOp::kRead);
     T v;
-    std::memcpy(&v, raw(a, sizeof(T)), sizeof(T));
+    std::memcpy(&v, raw_mut(a, sizeof(T)), sizeof(T));
     return v;
   }
 
@@ -237,7 +237,7 @@ class Machine {
   void write(PhysAddr a, T v) {
     static_assert(sizeof(T) <= 8);
     reference(a, word_count(sizeof(T)), MemOp::kWrite);
-    std::memcpy(raw(a, sizeof(T)), &v, sizeof(T));
+    std::memcpy(raw_mut(a, sizeof(T)), &v, sizeof(T));
   }
 
   /// PNC atomic operations (linearized at completion time).  When switch
@@ -266,7 +266,7 @@ class Machine {
 
   /// Charge `n` back-to-back word references to `target` in a single event
   /// (used by tight inner loops; contention is accounted in aggregate).
-  void access_words(PhysAddr a, std::uint32_t n, bool write = false);
+  void access_words(PhysAddr a, std::uint32_t n);
 
   // --- Probes (correctness tooling and tracing; see sim/observe.hpp) --------
   // All hooks are host-side and uncharged: attaching probes leaves the
@@ -366,7 +366,7 @@ class Machine {
   template <typename T>
   T peek(PhysAddr a) const {
     T v;
-    std::memcpy(&v, raw_const(a, sizeof(T)), sizeof(T));
+    std::memcpy(&v, raw_mut(a, sizeof(T)), sizeof(T));
     return v;
   }
   template <typename T>
@@ -374,7 +374,7 @@ class Machine {
     std::memcpy(raw_mut(a, sizeof(T)), &v, sizeof(T));
   }
   void peek_bytes(void* dst, PhysAddr a, std::size_t n) const {
-    std::memcpy(dst, raw_const(a, n), n);
+    std::memcpy(dst, raw_mut(a, n), n);
   }
   void poke_bytes(PhysAddr a, const void* src, std::size_t n) {
     std::memcpy(raw_mut(a, n), src, n);
@@ -444,23 +444,60 @@ class Machine {
     return static_cast<std::uint32_t>((bytes + 3) / 4);
   }
 
+  /// One timed memory transaction as the shared path (admit, time_txn,
+  /// settle; see machine.cpp) sees it.  The three steps are inline and
+  /// defined in machine.cpp, their only user, so each operation's body
+  /// compiles to one straight path.  The defaults describe one plain
+  /// reference of `words` words.
+  struct Txn {
+    NodeId req;                    ///< requesting node, from admit()
+    PhysAddr a;                    ///< where the head reference goes
+    std::uint32_t words;           ///< words reported to probes
+    MemOp op;
+    std::uint32_t head_words = words;  ///< module services of the head
+    std::uint32_t refs = 1;        ///< references counted to the requester
+    bool remote = req != a.node;   ///< counted remote rather than local
+    bool serviced = true;          ///< remote refs count at a.node too
+    bool faults = true;            ///< a memory fault can void it
+  };
+  /// Validate a transaction from the calling fiber to `home` and `home2`
+  /// (equal for one-module operations): raises SimError on a wild node,
+  /// then NodeDeadError / NetUnreachableError after charging the failed
+  /// attempt.  Returns the requesting node.
+  inline NodeId admit(NodeId home, NodeId home2);
+  /// Time the head reference and account for it; returns its completion
+  /// time and stores its queueing in `*q`.  Does not charge.
+  inline Time time_txn(const Txn& t, Time* q);
+  /// Charge the requester `d`, draw a memory fault when `t.faults`, then
+  /// report the access: the caller moves the data after this returns.
+  inline void settle(const Txn& t, Time d);
   /// Perform + charge one reference of `words` words to a.node.
   void reference(PhysAddr a, std::uint32_t words, MemOp op);
-  /// Report one reference before it is issued (uncharged).
+  /// The fetch_add reference path with switch combining armed: either
+  /// merges into an in-flight add's window or leads a new transaction and
+  /// opens one.  Charged like reference(a, 1, kAtomic).
+  void combining_fetch_add_reference(PhysAddr a);
+  /// The one read-modify-write body: a timed atomic reference (combining
+  /// when `combine`), then the word becomes next(old); returns old.
+  template <typename Next>
+  std::uint32_t rmw(PhysAddr a, bool combine, Next next);
+  /// The one streaming body behind block_copy/block_read/block_write; a
+  /// null `dst` or `src` is the calling fiber's private memory at
+  /// `host_dst` / `host_src`.  Forced inline, so each caller's copy folds
+  /// its null tests away as the hand-written bodies did.
+  [[gnu::always_inline]] inline void stream(const PhysAddr* dst, const PhysAddr* src, std::size_t bytes,
+              void* host_dst, const void* host_src);
+  /// Report one access as its data moves (uncharged).
   void observe_access(PhysAddr a, std::uint32_t words, MemOp op,
                       NodeId requester) {
     publish([](Probe& p, auto... x) { p.on_access(Fiber::current(), x...); },
             requester, a, words, op);
   }
-  /// Compute completion time of a reference departing now; updates module
-  /// occupancy and stats but does not charge.
-  /// The fetch_add reference path with switch combining armed: either
-  /// merges into an in-flight add's window or leads a new transaction and
-  /// opens one.  Charged like reference(a, 1, kAtomic).
-  void combining_fetch_add_reference(PhysAddr a);
+  /// Completion time of a reference departing now; updates the home
+  /// module's occupancy but does not charge.
   Time reference_finish(NodeId requester, NodeId home, std::uint32_t words,
                         Time* queue_ns);
-  /// Report one finished reference with its contention share (uncharged;
+  /// Report one issued reference with its contention share (uncharged;
   /// on_access cannot see queue time).
   void trace_reference(NodeId requester, NodeId home, std::uint32_t words,
                        Time queue_ns, MemOp op) {
@@ -471,9 +508,9 @@ class Machine {
   /// fiber is running).
   NodeId trace_node() const;
 
-  std::uint8_t* raw(PhysAddr a, std::size_t n);
-  std::uint8_t* raw_mut(PhysAddr a, std::size_t n);
-  const std::uint8_t* raw_const(PhysAddr a, std::size_t n) const;
+  /// Backing bytes of [a, a + n), grown on demand (the backing is mutable:
+  /// growing it is not a simulated effect, so untimed peeks may grow it).
+  std::uint8_t* raw_mut(PhysAddr a, std::size_t n) const;
   void ensure_backing(Node& nd, std::size_t end) const;
 
   FiberCtl* ctl(Fiber* f);
@@ -513,9 +550,6 @@ class Machine {
   void check_kill(FiberCtl* c);
   /// Raise NodeDeadError (after charging the failed round trip) when a
   /// timed operation targets a dead node.
-  // Address validation happens before the timing model touches per-node
-  // state: a wild node id must raise SimError, not index off node_[].
-  void check_node(NodeId home) const;
   void check_target(NodeId home);
   void do_kill(NodeId n, bool silent);
   void maybe_mem_fault(NodeId home);

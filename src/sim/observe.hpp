@@ -106,7 +106,9 @@ class Probe {
   // --- Memory and happens-before stream -------------------------------------
 
   /// One reference of `words` 32-bit words starting at `a`, issued by a
-  /// fiber running on `requester`.
+  /// fiber running on `requester`.  Fires when the transaction completes,
+  /// just before its data moves, so accesses arrive in the order values
+  /// are read and written.  A transaction that throws reports nothing.
   virtual void on_access(Fiber* /*f*/, NodeId /*requester*/, PhysAddr /*a*/,
                          std::uint32_t /*words*/, MemOp /*op*/) {}
   /// A new fiber was created (parent is nullptr for host-spawned fibers).
@@ -159,11 +161,11 @@ class Probe {
   /// A point event on the calling track.
   virtual void on_instant(Fiber* /*f*/, NodeId /*node*/, const char* /*cat*/,
                           const char* /*name*/, std::uint64_t /*arg*/) {}
-  /// One timed reference completed: `words` serviced by `home`'s memory
-  /// module for a fiber on `requester`, of which `queue_ns` was spent
-  /// queued behind other traffic at the module.  Richer than on_access
-  /// (which fires before the module is reached and cannot see contention)
-  /// — this feeds the occupancy / contention / locality time series.
+  /// One timed reference issued at `at`: `words` serviced by `home`'s
+  /// memory module for a fiber on `requester`, of which `queue_ns` is spent
+  /// queued behind other traffic at the module (the timing model knows it
+  /// at issue).  Richer than on_access, which carries no timing — this
+  /// feeds the occupancy / contention / locality time series.
   virtual void on_reference(NodeId /*requester*/, NodeId /*home*/,
                             std::uint32_t /*words*/, Time /*queue_ns*/,
                             MemOp /*op*/, Time /*at*/) {}

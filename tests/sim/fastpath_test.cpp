@@ -162,7 +162,7 @@ TEST(Fastpath, AllOperationKindsIdenticalOnAndOff) {
             acc += buf[0] + buf[63];
           }
           if (i == 4) m.block_copy(block[(n + 3) % kNodes], block[n], 64);
-          m.access_words(cell[(n + i * 7) % kNodes], 3, /*write=*/i % 2 == 1);
+          m.access_words(cell[(n + i * 7) % kNodes], 3);
           acc ^= m.fetch_or_u32(counter[(n + i) % kNodes], 1u << (n % 31));
           m.poke<std::uint32_t>(journal[n].plus(4 * i),
                                 acc ^ static_cast<std::uint32_t>(m.now()));

@@ -135,8 +135,11 @@ TEST(Probe, TwoTracersAnalyzerAndDetectorShareOneRun) {
   EXPECT_EQ(a.instants, b.instants);
   EXPECT_EQ(a.refs, b.refs);
   EXPECT_EQ(a.chrome_trace, b.chrome_trace);
-  // The Analyzer finds what it finds alone, and the run finishes.
-  EXPECT_EQ(probed.races, alone.races);
+  // The monitor's spin lock orders every access, and the Analyzer sees
+  // accesses when their data moves, so it finds no race alone or in
+  // company; and the run finishes.
+  EXPECT_EQ(alone.races, 0u);
+  EXPECT_EQ(probed.races, 0u);
   EXPECT_EQ(probed.stuck, 0u);
 }
 
