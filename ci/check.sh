@@ -18,9 +18,11 @@
 #                        PCT schedule sweep (10 seeds x 4 workloads); any
 #                        finding, lint or wedge on any seed is a failure
 #   3b. sync smoke     — the scalable-synchronization suites (MCS, tree
-#                        barrier, idle counters, observer contract) plus
-#                        the tsync weak-scaling bench's self-gates at
-#                        256/1K nodes (label sync-smoke)
+#                        barrier, idle counters, observer contract, and the
+#                        fault-retry characterisation of spin locks,
+#                        barriers, US and NET under transient memory
+#                        faults) plus the tsync weak-scaling bench's
+#                        self-gates at 256/1K nodes (label sync-smoke)
 #   3c. sim-output gate— perfbench's self-test, then each perfbench workload
 #                        at seed 1; fails unless run.py reports that the
 #                        run's sim_digest matches perfbench/baseline.json,
@@ -77,7 +79,7 @@ ctest --preset default -L partition-smoke --output-on-failure --verbose
 step "sched-fuzz smoke (moviola detector over PCT schedule seeds)"
 ctest --preset default -L sched-fuzz-smoke --output-on-failure --verbose
 
-step "sync smoke (MCS/tree-barrier/counter suites + tsync scaling gates)"
+step "sync smoke (MCS/barrier/counter/fault-retry suites + tsync scaling gates)"
 ctest --preset default -L sync-smoke --output-on-failure
 
 step "sim-output gate (perfbench self-test + seed-1 digests vs baseline)"

@@ -313,11 +313,7 @@ Oid Kernel::create_process(sim::NodeId node, std::function<void()> main,
       body();
     } catch (const ThrowSignal&) {
       p->faulted_ = true;
-    } catch (const sim::NodeDeadError&) {
-      p->faulted_ = true;
-    } catch (const sim::NetUnreachableError&) {
-      p->faulted_ = true;
-    } catch (const sim::MemoryFaultError&) {
+    } catch (const sim::FaultError&) {
       p->faulted_ = true;
     } catch (const sim::FiberKill&) {
       // This process's own node died.  Record the death without timed

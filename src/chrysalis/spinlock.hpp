@@ -16,7 +16,6 @@
 // targeted measurements.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "sim/machine.hpp"
@@ -43,31 +42,21 @@ class SpinLock {
   /// throws: that lock is gone for good.)
   void acquire() {
     sim::Time wait = probe_interval_;
-    for (;;) {
-      try {
-        if (m_.test_and_set(cell_) == 0) break;
-      } catch (const sim::MemoryFaultError&) {
-      }
-      ++spins_;
-      ++m_.stats().lock_spins;
-      m_.observe_spin(sim::chan_of(cell_));
-      m_.charge(wait);
-      if (backoff_max_ != 0) wait = std::min(wait * 2, backoff_max_);
-    }
+    while (!sim::spin_probe([&] { return m_.test_and_set(cell_) == 0; }))
+      sim::spin_step(m_, spins_, sim::chan_of(cell_), wait, backoff_max_);
     ++acquisitions_;
     ++m_.stats().lock_acquisitions;
     m_.observe_hold(sim::chan_of(cell_), true);
   }
 
+  /// One probe, no wait: a miss (or a faulted probe) counts as a spin but
+  /// charges nothing.
   bool try_acquire() {
-    try {
-      if (m_.test_and_set(cell_) == 0) {
-        ++acquisitions_;
-        ++m_.stats().lock_acquisitions;
-        m_.observe_hold(sim::chan_of(cell_), true);
-        return true;
-      }
-    } catch (const sim::MemoryFaultError&) {
+    if (sim::spin_probe([&] { return m_.test_and_set(cell_) == 0; })) {
+      ++acquisitions_;
+      ++m_.stats().lock_acquisitions;
+      m_.observe_hold(sim::chan_of(cell_), true);
+      return true;
     }
     ++spins_;
     ++m_.stats().lock_spins;
@@ -77,15 +66,11 @@ class SpinLock {
 
   void release() {
     // A transient memory fault on the release write would leave the lock
-    // held forever and wedge every spinner; the PNC retries the store.
+    // held forever and wedge every spinner; the PNC retries the store, at
+    // once and for as long as it takes.
     m_.observe_hold(sim::chan_of(cell_), false);
-    for (;;) {
-      try {
-        m_.write<std::uint32_t>(cell_, 0);
-        return;
-      } catch (const sim::MemoryFaultError&) {
-      }
-    }
+    sim::retry_transient(m_, sim::retry_every(0),
+                         [&] { m_.write<std::uint32_t>(cell_, 0); });
   }
 
   std::uint64_t acquisitions() const { return acquisitions_; }

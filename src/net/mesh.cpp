@@ -8,6 +8,10 @@ namespace bfly::net {
 namespace {
 constexpr sim::Time kWriteOverhead = 50 * sim::kMicrosecond;
 constexpr sim::Time kReadOverhead = 40 * sim::kMicrosecond;
+// A chunk transfer retries a transient memory fault with RetryPolicy's
+// defaults (6 tries, 50 us doubling to 5 ms); then the fault reaches the
+// element body.
+constexpr sim::RetryPolicy kRetry{};
 }  // namespace
 
 // --- Stream -------------------------------------------------------------
@@ -31,7 +35,7 @@ void Stream::write(const void* data, std::size_t n) {
   Mesh::Chunk c;
   c.len = static_cast<std::uint32_t>(n);
   c.buf = m.alloc(reader_node_, n);
-  mesh_.with_retry([&] { m.block_write(c.buf, data, n); });
+  sim::retry_transient(m, kRetry, [&] { m.block_write(c.buf, data, n); });
   std::uint32_t cid;
   if (!mesh_.chunk_free_.empty()) {
     cid = mesh_.chunk_free_.back();
@@ -87,7 +91,8 @@ void Stream::read(void* out, std::size_t n) {
     Mesh::Chunk c = mesh_.chunks_[cid];
     mesh_.chunk_free_.push_back(cid);
     std::vector<std::uint8_t> tmp(c.len);
-    mesh_.with_retry([&] { m.block_read(tmp.data(), c.buf, c.len); });
+    sim::retry_transient(m, kRetry,
+                         [&] { m.block_read(tmp.data(), c.buf, c.len); });
     m.free(c.buf, c.len);
     buffered_.insert(buffered_.end(), tmp.begin(), tmp.end());
   }
@@ -159,11 +164,7 @@ Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
               body(*ep);
             } catch (const chrys::ThrowSignal&) {
               ++elements_faulted_;
-            } catch (const sim::NodeDeadError&) {
-              ++elements_faulted_;
-            } catch (const sim::NetUnreachableError&) {
-              ++elements_faulted_;
-            } catch (const sim::MemoryFaultError&) {
+            } catch (const sim::FaultError&) {
               ++elements_faulted_;
             }
             for (Stream* s : ep->out_)
@@ -184,21 +185,6 @@ Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
 
 Mesh::~Mesh() {
   m_.remove_observer(crash_observer_);
-}
-
-void Mesh::with_retry(const std::function<void()>& op) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      op();
-      return;
-    } catch (const sim::MemoryFaultError& e) {
-      if (attempt + 1 >= std::max(1u, opt_.retry.attempts)) {
-        if (retry_exhausted_) retry_exhausted_(e.node());
-        throw;
-      }
-      m_.charge(opt_.retry.backoff(attempt));
-    }
-  }
 }
 
 void Mesh::excise_node(sim::NodeId n) {

@@ -32,9 +32,10 @@
 //     and notifies subscribers (wire us::UniformSystem::excise_node,
 //     net::Mesh::excise_node and bridge::BridgeFs::excise_node here).
 //
-// Retry exhaustion is the complementary accusation path: when a bounded
-// RetryPolicy gives up on a node, denounce() turns that into an immediate
-// suspicion check instead of waiting out the heartbeat timeout.
+// denounce() is the complementary accusation path: a caller with its own
+// evidence that a node is gone gets an immediate suspicion check instead of
+// waiting out the heartbeat timeout.  (Nothing in the runtime layers calls
+// it yet: their retry exhaustion just propagates the fault.)
 #pragma once
 
 #include <cstdint>
@@ -44,13 +45,6 @@
 #include "chrysalis/kernel.hpp"
 
 namespace bfly::rescue {
-
-/// The rescue layer's retry engine is the simulator's RetryPolicy (see
-/// sim/fault.hpp): bounded exponential backoff with optional deterministic
-/// jitter.  Aliased here because retry exhaustion is a rescue-layer concept
-/// — it is what graduates into a denounce() — and callers (bfly::serve)
-/// reach it through this namespace.
-using RetryPolicy = sim::RetryPolicy;
 
 struct RescueConfig {
   /// How often each node's daemon refreshes its heartbeat word.
@@ -108,9 +102,9 @@ class Membership {
   std::uint64_t subscribe_reach(std::function<void(sim::NodeId, bool)> fn);
   void unsubscribe_reach(std::uint64_t id);
 
-  /// Accuse a node directly (e.g. from a retry-exhaustion hook): checked
-  /// against ground truth immediately — a live accusee is a false suspect,
-  /// a dead one is declared without waiting for the heartbeat timeout.
+  /// Accuse a node directly: checked against ground truth immediately — a
+  /// live accusee is a false suspect, a dead one is declared without
+  /// waiting for the heartbeat timeout.
   void denounce(sim::NodeId n);
 
   /// Is the node in the current membership view?  An unreachable node is

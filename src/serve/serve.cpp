@@ -144,8 +144,7 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
   const auto start = static_cast<std::uint32_t>(rng_.below(r_count));
   Status give_up = Status::kNoReplica;
 
-  for (std::uint32_t attempt = 0; attempt < cfg_.retry.max_attempts();
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < cfg_.retry.attempts; ++attempt) {
     if (attempt > 0) {
       const sim::Time back = cfg_.retry.backoff_jittered(attempt - 1, rng_);
       if (m_.now() + back >= deadline_at) break;  // no budget for a retry
@@ -342,8 +341,7 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
     return Status::kOk;
   };
 
-  for (std::uint32_t attempt = 0; attempt < cfg_.retry.max_attempts();
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < cfg_.retry.attempts; ++attempt) {
     if (attempt > 0) {
       const sim::Time back = cfg_.retry.backoff_jittered(attempt - 1, rng_);
       if (m_.now() + back >= deadline_at) break;

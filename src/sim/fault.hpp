@@ -41,11 +41,20 @@ class SimError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// A hardware fault seen by a timed reference: a dead node, an unreachable
+/// peer or a transient memory fault.  Layers that trap every machine fault
+/// the same way (a process body, a Uniform System task, a NET element)
+/// catch this one base.
+class FaultError : public SimError {
+ public:
+  using SimError::SimError;
+};
+
 /// A timed reference (or allocation) targeted a node that has been killed.
-class NodeDeadError : public SimError {
+class NodeDeadError : public FaultError {
  public:
   explicit NodeDeadError(NodeId node)
-      : SimError("reference to dead node " + std::to_string(node)),
+      : FaultError("reference to dead node " + std::to_string(node)),
         node_(node) {}
   NodeId node() const { return node_; }
 
@@ -60,12 +69,12 @@ class NodeDeadError : public SimError {
 /// failure, distinct from NodeDeadError — so layers above should treat the
 /// peer as *unreachable* (may come back) rather than dead (never will).
 /// The PNC's futile retries are charged before the throw.
-class NetUnreachableError : public SimError {
+class NetUnreachableError : public FaultError {
  public:
   NetUnreachableError(NodeId src, NodeId dst, const std::string& why,
                       Time wasted = 0)
-      : SimError("node " + std::to_string(dst) + " unreachable from " +
-                 std::to_string(src) + " (" + why + ")"),
+      : FaultError("node " + std::to_string(dst) + " unreachable from " +
+                   std::to_string(src) + " (" + why + ")"),
         src_(src),
         dst_(dst),
         wasted_(wasted) {}
@@ -85,10 +94,10 @@ class NetUnreachableError : public SimError {
 /// A timed reference suffered a transient (parity-style) memory fault.  The
 /// reference's time was charged but no data moved; the operation may simply
 /// be retried.
-class MemoryFaultError : public SimError {
+class MemoryFaultError : public FaultError {
  public:
   explicit MemoryFaultError(NodeId node)
-      : SimError("transient memory fault on node " + std::to_string(node)),
+      : FaultError("transient memory fault on node " + std::to_string(node)),
         node_(node) {}
   NodeId node() const { return node_; }
 
@@ -98,9 +107,9 @@ class MemoryFaultError : public SimError {
 
 /// Bounded retry with exponential backoff for remote operations.  The real
 /// PNC retried failed transactions in microcode; the runtime layers retry a
-/// few more times in software before giving a node up for dead.  Exhaustion
-/// is how a transient-looking fault graduates into a membership accusation
-/// (see bfly::rescue::Membership::denounce).
+/// few more times in software (sim::retry_transient) before the fault
+/// propagates.  The defaults are that software retry: 6 tries, 50 us
+/// doubling to 5 ms.
 struct RetryPolicy {
   /// Total tries (first attempt included).  Must be >= 1.
   std::uint32_t attempts = 6;
@@ -113,9 +122,6 @@ struct RetryPolicy {
   /// the legacy fixed schedule and draws nothing from the caller's RNG, so
   /// existing users stay byte-identical.
   double jitter = 0.0;
-
-  std::uint32_t max_attempts() const { return attempts; }
-  Time backoff_cap() const { return cap; }
 
   /// Backoff to charge after failed attempt number `attempt` (0-based).
   Time backoff(std::uint32_t attempt) const {
@@ -236,15 +242,6 @@ struct FaultPlan {
   /// until a heartbeat watchdog (or a reference into the corpse) notices.
   FaultPlan& kill_silent(NodeId node, Time at) {
     return add_kill(node, at, true);
-  }
-
-  /// Bringing a dead node back mid-run is not modelled yet: the Uniform
-  /// System pool, stream topology and Bridge stripes all assume kills are
-  /// permanent for the run.  Rejecting loudly beats silently ignoring it.
-  FaultPlan& heal(NodeId node, Time at) {
-    throw SimError("FaultPlan::heal(node " + std::to_string(node) + ", at " +
-                   std::to_string(at) + "): not yet supported — kills are "
-                   "permanent for the run");
   }
 
   /// Degrade `node` for [from, until): every module service there takes

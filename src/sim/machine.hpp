@@ -17,9 +17,11 @@
 // verification tests depend on.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -630,5 +632,59 @@ class TraceSpan {
  private:
   Machine& m_;
 };
+
+// --- Runtime-layer fault and spin helpers --------------------------------
+//
+// Every layer above the machine (sync, chrysalis, us, net) retries a
+// transient memory fault the way the PNC retried a failed transaction, and
+// every busy-wait handles a failed probe the same way.  These are the one
+// copy of each rule.
+
+/// Run `op`, retrying a transient MemoryFaultError under `policy`: a faulted
+/// try waits policy.backoff(attempt) and tries again; once policy.attempts
+/// tries are spent the fault is rethrown.  A zero backoff retries at once —
+/// charge(0) would yield and reorder events.  Dead nodes and unreachable
+/// peers are not transient and propagate untouched.
+template <typename Op>
+decltype(auto) retry_transient(Machine& m, const RetryPolicy& policy, Op&& op) {
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    try {
+      return op();
+    } catch (const MemoryFaultError&) {
+      if (attempt + 1 >= policy.attempts) throw;
+      if (const Time b = policy.backoff(attempt); b != 0) m.charge(b);
+    }
+  }
+}
+
+/// The policy of a loop that never gives up on a transient fault: wait
+/// `probe` (0: not at all) before every retry.  2^32 - 1 tries is past any
+/// run's reach.
+constexpr RetryPolicy retry_every(Time probe) {
+  return RetryPolicy{std::numeric_limits<std::uint32_t>::max(), probe, probe,
+                     0.0};
+}
+
+/// Run one spin probe; a transient memory fault on it reads as a miss.
+template <typename Probe>
+bool spin_probe(Probe&& probe) {
+  try {
+    return probe();
+  } catch (const MemoryFaultError&) {
+    return false;
+  }
+}
+
+/// One failed spin probe on `chan`: count it in the primitive's `spins` and
+/// in MachineStats::lock_spins, publish it to the probes, charge `wait`,
+/// then double `wait` up to `cap` (cap 0: every probe waits the same).
+inline void spin_step(Machine& m, std::uint64_t& spins, std::uint64_t chan,
+                      Time& wait, Time cap) {
+  ++spins;
+  ++m.stats().lock_spins;
+  m.observe_spin(chan);
+  m.charge(wait);
+  if (cap != 0) wait = std::min(wait * 2, cap);
+}
 
 }  // namespace bfly::sim

@@ -52,6 +52,7 @@ class CentralBarrier {
   sim::PhysAddr sense_;
   sim::Time probe_;
   sim::Time probe_backoff_max_;
+  sim::RetryPolicy retry_;  // a faulted count/sense update waits `probe`
   std::vector<std::uint64_t> epoch_;
   std::uint64_t spins_ = 0;
 };
@@ -80,14 +81,12 @@ class TreeBarrier {
     std::uint32_t fanin = 0;
   };
 
-  std::uint32_t fetch_add_retry(sim::PhysAddr a, std::uint32_t d);
-  std::uint32_t swap_retry(sim::PhysAddr a, std::uint32_t v);
-  std::uint32_t read_retry(sim::PhysAddr a);
-
   sim::Machine& m_;
   std::uint32_t arity_;
   sim::Time local_probe_;
   sim::Time probe_backoff_max_;
+  // Every faulted reference waits one local probe and retries, uncounted.
+  sim::RetryPolicy retry_;
   std::vector<std::vector<TreeNode>> tree_;  // [level][group]
   std::vector<sim::PhysAddr> flag_;          // per worker, on its own node
   std::vector<std::uint64_t> epoch_;

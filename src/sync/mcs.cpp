@@ -1,6 +1,5 @@
 #include "sync/mcs.hpp"
 
-#include <algorithm>
 #include <string>
 
 namespace bfly::sync {
@@ -10,7 +9,8 @@ McsLock::McsLock(sim::Machine& m, sim::NodeId home,
                  sim::Time local_probe, sim::Time probe_backoff_max)
     : m_(m),
       local_probe_(local_probe),
-      probe_backoff_max_(probe_backoff_max) {
+      probe_backoff_max_(probe_backoff_max),
+      retry_(sim::retry_every(local_probe)) {
   tail_ = m_.alloc(home, 8);
   m_.poke<std::uint32_t>(tail_, 0);
   m_.label_memory(tail_, 8, "sync.mcs.tail");
@@ -30,50 +30,28 @@ McsLock::McsLock(sim::Machine& m, sim::NodeId home,
 
 McsLock::~McsLock() = default;
 
-std::uint32_t McsLock::swap_retry(sim::PhysAddr a, std::uint32_t v) {
-  // A transient memory fault aborts the reference before any mutation, so
-  // retrying is safe; the PNC retried failed transactions the same way.
-  for (;;) {
-    try {
-      return m_.swap_u32(a, v);
-    } catch (const sim::MemoryFaultError&) {
-      m_.charge(local_probe_);
-    }
-  }
-}
-
-std::uint32_t McsLock::read_retry(sim::PhysAddr a) {
-  for (;;) {
-    try {
-      return m_.read<std::uint32_t>(a);
-    } catch (const sim::MemoryFaultError&) {
-      m_.charge(local_probe_);
-    }
-  }
-}
-
 void McsLock::acquire(std::uint32_t w) {
   // Reset my qnode.  Local plain writes: no other worker touches these
   // words except through the atomic link/handoff swaps below.
   m_.write<std::uint32_t>(next_[w], 0);
   m_.write<std::uint32_t>(locked_[w], 1);
   // Enqueue with one atomic swap on the tail — the only switch transaction
-  // a contended acquire ever issues.
-  const std::uint32_t pred = swap_retry(tail_, w + 1);
+  // a contended acquire ever issues.  (A transient fault aborts a reference
+  // before any mutation, so every retry below is safe.)
+  const std::uint32_t pred = sim::retry_transient(
+      m_, retry_, [&] { return m_.swap_u32(tail_, w + 1); });
   if (pred != 0) {
     // Link into the predecessor, then spin on my *local* flag.  Every probe
     // below is a reference into this node's own module: the holder's node
     // never sees it.
-    swap_retry(next_[pred - 1], w + 1);
+    sim::retry_transient(
+        m_, retry_, [&] { return m_.swap_u32(next_[pred - 1], w + 1); });
     sim::Time wait = local_probe_;
-    while (read_retry(locked_[w]) != 0) {
-      ++local_spins_;
-      ++m_.stats().lock_spins;
-      m_.observe_spin(sim::chan_of(tail_));
-      m_.charge(wait);
-      if (probe_backoff_max_ != 0)
-        wait = std::min(wait * 2, probe_backoff_max_);
-    }
+    while (sim::retry_transient(m_, retry_, [&] {
+             return m_.read<std::uint32_t>(locked_[w]);
+           }) != 0)
+      sim::spin_step(m_, local_spins_, sim::chan_of(tail_), wait,
+                     probe_backoff_max_);
   }
   ++acquisitions_;
   ++m_.stats().lock_acquisitions;
@@ -82,30 +60,28 @@ void McsLock::acquire(std::uint32_t w) {
 
 void McsLock::release(std::uint32_t w) {
   m_.observe_hold(sim::chan_of(tail_), false);
-  std::uint32_t nxt = read_retry(next_[w]);
+  const auto read_next = [&] {
+    return sim::retry_transient(
+        m_, retry_, [&] { return m_.read<std::uint32_t>(next_[w]); });
+  };
+  std::uint32_t nxt = read_next();
   if (nxt == 0) {
     // No linked successor.  If the tail still points at us the queue is
     // empty and the CAS frees the lock.
-    for (;;) {
-      try {
-        if (m_.cas_u32(tail_, w + 1, 0) == w + 1) return;
-        break;
-      } catch (const sim::MemoryFaultError&) {
-        m_.charge(local_probe_);
-      }
-    }
+    if (sim::retry_transient(m_, retry_, [&] {
+          return m_.cas_u32(tail_, w + 1, 0);
+        }) == w + 1)
+      return;
     // A successor swapped the tail but has not linked yet; it is at most
     // one reference away.
-    while ((nxt = read_retry(next_[w])) == 0) {
-      ++local_spins_;
-      ++m_.stats().lock_spins;
-      m_.observe_spin(sim::chan_of(tail_));
-      m_.charge(local_probe_);
-    }
+    sim::Time wait = local_probe_;
+    while ((nxt = read_next()) == 0)
+      sim::spin_step(m_, local_spins_, sim::chan_of(tail_), wait, 0);
   }
   // Hand the lock across the switch to the queue head: the release path's
   // single remote reference.
-  swap_retry(locked_[nxt - 1], 0);
+  sim::retry_transient(m_, retry_,
+                       [&] { return m_.swap_u32(locked_[nxt - 1], 0); });
 }
 
 }  // namespace bfly::sync

@@ -15,6 +15,11 @@ constexpr sim::Time kDispatchOverhead = 15 * sim::kMicrosecond;
 constexpr sim::Time kAllocWork = 100 * sim::kMicrosecond;
 // How often a wait_idle waiter re-scans a distributed (inexact) counter.
 constexpr sim::Time kIdlePollInterval = 250 * sim::kMicrosecond;
+// Infrastructure accesses (completion counter, scatter cursor) retry a
+// transient memory fault — losing one would wedge the whole system — with
+// RetryPolicy's defaults: 6 tries, 50 us doubling to 5 ms, then the fault
+// propagates.  Dead-node errors propagate at once: those are permanent.
+constexpr sim::RetryPolicy kRetry{};
 
 // Clears a spin-lock word host-side if an exception (in particular a
 // FiberKill unwinding a dying node) escapes while the lock is held.  A dead
@@ -190,11 +195,7 @@ void UniformSystem::manager_loop(std::uint32_t worker) {
         table_[tid].fn(ctx);
       } catch (const chrys::ThrowSignal&) {
         ++tasks_faulted_;
-      } catch (const sim::NodeDeadError&) {
-        ++tasks_faulted_;
-      } catch (const sim::NetUnreachableError&) {
-        ++tasks_faulted_;
-      } catch (const sim::MemoryFaultError&) {
+      } catch (const sim::FaultError&) {
         ++tasks_faulted_;
       }
     }
@@ -208,7 +209,8 @@ void UniformSystem::manager_loop(std::uint32_t worker) {
     // With a distributed counter this add is local and returns kUnknown —
     // no manager can tell it drained the count, so nobody posts and the
     // waiter polls instead (see wait_idle).
-    const std::uint32_t before = counter_add_retry(0xffffffffu);
+    const std::uint32_t before = sim::retry_transient(
+        m_, kRetry, [&] { return idle_counter_->add(0xffffffffu); });
     decrementing_[worker] = 0;
     if (before == 1 && waiter_proc_ != chrys::kNoObject) {
       // Post first, clear second: if this node dies inside the post's
@@ -224,63 +226,6 @@ void UniformSystem::manager_loop(std::uint32_t worker) {
 
 void UniformSystem::enqueue_descriptor(std::uint32_t tid) {
   k_.dq_enqueue(work_queue_, tid);
-}
-
-std::uint32_t UniformSystem::fetch_add_retry(sim::PhysAddr a,
-                                             std::uint32_t d) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      return m_.fetch_add_u32(a, d);
-    } catch (const sim::MemoryFaultError& e) {
-      if (attempt + 1 >= std::max(1u, cfg_.retry.attempts)) {
-        if (retry_exhausted_) retry_exhausted_(e.node());
-        throw;
-      }
-      m_.charge(cfg_.retry.backoff(attempt));
-    }
-  }
-}
-
-std::uint32_t UniformSystem::read_u32_retry(sim::PhysAddr a) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      return m_.read<std::uint32_t>(a);
-    } catch (const sim::MemoryFaultError& e) {
-      if (attempt + 1 >= std::max(1u, cfg_.retry.attempts)) {
-        if (retry_exhausted_) retry_exhausted_(e.node());
-        throw;
-      }
-      m_.charge(cfg_.retry.backoff(attempt));
-    }
-  }
-}
-
-std::uint32_t UniformSystem::counter_add_retry(std::uint32_t d) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      return idle_counter_->add(d);
-    } catch (const sim::MemoryFaultError& e) {
-      if (attempt + 1 >= std::max(1u, cfg_.retry.attempts)) {
-        if (retry_exhausted_) retry_exhausted_(e.node());
-        throw;
-      }
-      m_.charge(cfg_.retry.backoff(attempt));
-    }
-  }
-}
-
-std::uint32_t UniformSystem::counter_read_retry() {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      return idle_counter_->read();
-    } catch (const sim::MemoryFaultError& e) {
-      if (attempt + 1 >= std::max(1u, cfg_.retry.attempts)) {
-        if (retry_exhausted_) retry_exhausted_(e.node());
-        throw;
-      }
-      m_.charge(cfg_.retry.backoff(attempt));
-    }
-  }
 }
 
 void UniformSystem::excise_node(sim::NodeId n) {
@@ -330,7 +275,7 @@ void UniformSystem::gen_task(TaskFn fn, std::uint32_t arg) {
   table_.push_back(TaskRec{std::move(fn), arg});
   const auto tid = static_cast<std::uint32_t>(table_.size() - 1);
   m_.trace_instant("us", "gen_task", tid);
-  (void)counter_add_retry(1);
+  sim::retry_transient(m_, kRetry, [&] { return idle_counter_->add(1); });
   enqueue_descriptor(tid);
 }
 
@@ -341,7 +286,8 @@ void UniformSystem::gen_on_index(std::uint32_t lo, std::uint32_t hi,
   // One shared TaskRec; the per-index argument rides in the descriptor's
   // low bits via distinct records (kept simple: one record per index, the
   // closure is shared).
-  (void)counter_add_retry(hi - lo);
+  sim::retry_transient(m_, kRetry,
+                       [&] { return idle_counter_->add(hi - lo); });
   for (std::uint32_t i = lo; i < hi; ++i) {
     table_.push_back(TaskRec{fn, i});
     enqueue_descriptor(static_cast<std::uint32_t>(table_.size() - 1));
@@ -356,13 +302,17 @@ void UniformSystem::wait_idle() {
   // The span's *end* is what matters downstream: scope::Tracer treats it as
   // a phase barrier in the critical-path report.
   sim::TraceSpan span(m_, "us", "wait_idle");
+  const auto outstanding = [&] {
+    return sim::retry_transient(m_, kRetry,
+                                [&] { return idle_counter_->read(); });
+  };
   if (!idle_counter_->exact()) {
     // Distributed cells: no completion can tell it drained the count, so
     // the waiter polls the aggregated sum.  A charged scan never reads a
     // false zero while only decrements are in flight, and the untimed peek
     // re-confirms the zero against cells folded by crash handlers.
     for (;;) {
-      if (counter_read_retry() == 0 && idle_counter_->peek_total() == 0)
+      if (outstanding() == 0 && idle_counter_->peek_total() == 0)
         return;
       // Whole pool dead: the queued tasks will never run.  Return degraded
       // instead of polling forever.
@@ -371,14 +321,14 @@ void UniformSystem::wait_idle() {
     }
   }
   chrys::Process& p = k_.self();
-  if (counter_read_retry() == 0) return;
+  if (outstanding() == 0) return;
   // Whole pool dead: the queued tasks will never run, and nobody is left to
   // post the idle event.  Return degraded instead of parking forever.
   if (managers_alive_ == 0) return;
   idle_event_ = k_.make_event(p.oid());
   waiter_proc_ = p.oid();
   // Re-check: the last task may have completed while we created the event.
-  if (counter_read_retry() == 0) {
+  if (outstanding() == 0) {
     if (waiter_proc_ != chrys::kNoObject) {
       // No manager claimed the post: nothing outstanding, just clean up.
       waiter_proc_ = chrys::kNoObject;
@@ -440,7 +390,8 @@ sim::PhysAddr UniformSystem::allocate_with_lock(sim::NodeId node,
 }
 
 sim::PhysAddr UniformSystem::alloc_global(std::size_t bytes) {
-  const std::uint32_t idx = fetch_add_retry(rr_counter_, 1);
+  const std::uint32_t idx = sim::retry_transient(
+      m_, kRetry, [&] { return m_.fetch_add_u32(rr_counter_, 1); });
   return allocate_with_lock(idx % mem_nodes_, bytes);
 }
 

@@ -60,11 +60,6 @@ struct UsConfig {
   /// Create managers through a fan-out tree instead of serially (the
   /// "faster initialization" Rochester contributed to the BBN release).
   bool tree_init = false;
-  /// Bounded retry for infrastructure accesses (completion counter, scatter
-  /// cursor): transient faults are retried with exponential backoff; after
-  /// retry.attempts tries the fault is treated as permanent (the exhaustion
-  /// hook fires, then the error propagates).
-  sim::RetryPolicy retry;
   /// Outstanding-task counter strategy.  kAuto follows the machine's
   /// MachineConfig::sync_strategy: the 1988 single hot cell on node 0, or
   /// per-processor distributed cells whose waiter polls the aggregated sum.
@@ -171,13 +166,6 @@ class UniformSystem {
   /// a running manager) or was already excised.
   void excise_node(sim::NodeId n);
 
-  /// Called (with the faulting node) when an infrastructure access exhausts
-  /// its RetryPolicy, just before the error propagates.  Feed this to
-  /// rescue::Membership::denounce so retry exhaustion becomes an accusation.
-  void set_retry_exhausted_hook(std::function<void(sim::NodeId)> fn) {
-    retry_exhausted_ = std::move(fn);
-  }
-
  private:
   struct TaskRec {
     TaskFn fn;
@@ -193,15 +181,6 @@ class UniformSystem {
   void enqueue_descriptor(std::uint32_t tid);
   void handle_node_death(sim::NodeId n);
   sim::PhysAddr allocate_with_lock(sim::NodeId node, std::size_t bytes);
-  // Infrastructure accesses (completion counter, scatter cursor) retry
-  // transient memory faults: losing one would wedge the whole system, and
-  // the real PNC retried failed transactions.  Dead-node errors still
-  // propagate — those are permanent.
-  std::uint32_t fetch_add_retry(sim::PhysAddr a, std::uint32_t d);
-  std::uint32_t read_u32_retry(sim::PhysAddr a);
-  // Same bounded retry, through the counter strategy.
-  std::uint32_t counter_add_retry(std::uint32_t d);
-  std::uint32_t counter_read_retry();
 
   chrys::Kernel& k_;
   sim::Machine& m_;
@@ -231,7 +210,6 @@ class UniformSystem {
 
   // Fault recovery state (all host-side: zero cost on healthy runs).
   std::uint64_t crash_observer_ = 0;
-  std::function<void(sim::NodeId)> retry_exhausted_;
   std::vector<std::uint32_t> inflight_;      // per worker: tid being run
   std::vector<std::uint8_t> decrementing_;   // per worker: task done, counter
                                              // decrement still in flight

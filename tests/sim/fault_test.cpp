@@ -194,12 +194,6 @@ TEST(FaultPlan, DuplicateKillOfSameNodeIsRejected) {
   EXPECT_EQ(plan.node_kills.size(), 1u);  // first kill survives
 }
 
-TEST(FaultPlan, HealIsRejectedAsUnsupported) {
-  FaultPlan plan;
-  plan.kill(1, kMillisecond);
-  EXPECT_THROW(plan.heal(1, 2 * kMillisecond), SimError);
-}
-
 TEST(FaultPlan, SilentKillSkipsCrashObserversButNotDeathObservers) {
   FaultPlan plan;
   plan.kill_silent(1, kMillisecond);
@@ -520,8 +514,8 @@ TEST(FaultPlan, PartitionedRunIsDeterministic) {
 
 TEST(RetryPolicy, FixedScheduleDoublesToCap) {
   const RetryPolicy p{4, 100, 350, 0.0};
-  EXPECT_EQ(p.max_attempts(), 4u);
-  EXPECT_EQ(p.backoff_cap(), 350);
+  EXPECT_EQ(p.attempts, 4u);
+  EXPECT_EQ(p.cap, 350);
   EXPECT_EQ(p.backoff(0), 100);
   EXPECT_EQ(p.backoff(1), 200);
   EXPECT_EQ(p.backoff(2), 350);  // capped
